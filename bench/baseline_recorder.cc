@@ -522,28 +522,6 @@ void RecordMicroScenarios(Recorder* rec) {
     RecordOrUse(rec, "frustum_batch_hull_test", rounds * kBoxes,
                 static_cast<double>(sw.ElapsedMicros()), survivors);
   }
-  {
-    // Tiled grid-hash build with the tile count pinned (4), independent
-    // of the machine's worker-pool default — same workload as the
-    // graph_grid_hash row, so the trajectory captures the explicit
-    // fan-out + deterministic-merge path too.
-    const Aabb bounds(Vec3(0, 0, 0), Vec3(43, 43, 43));
-    const auto objects =
-        benchsupport::RandomObjects(scale.graph_objects, bounds, /*seed=*/3);
-    std::vector<GraphInput> inputs;
-    inputs.reserve(objects.size());
-    for (const auto& obj : objects) inputs.push_back(GraphInput{&obj, 0});
-    uint64_t edges = 0;
-    Stopwatch sw;
-    for (size_t r = 0; r < scale.graph_reps; ++r) {
-      SpatialGraph graph;
-      BuildGraphGridHashTiled(inputs, bounds, 32768, /*tiles=*/4, &graph);
-      edges += graph.NumEdges();
-    }
-    RecordOrUse(rec, "graph_grid_hash_parallel",
-                scale.graph_reps * scale.graph_objects,
-                static_cast<double>(sw.ElapsedMicros()), edges);
-  }
 }
 
 void PrintUsage() {
@@ -553,9 +531,8 @@ void PrintUsage() {
       "  --label NAME    snapshot label (default: current)\n"
       "  --out PATH      output JSON (default: BENCH_baseline.json)\n"
       "  --append        append a snapshot instead of rewriting the file\n"
-      "                  (refuses labels already present in the file, and\n"
-      "                  seed3 flip labels before the pre-qos anchor)\n"
-      "  --force         append even if a refusal would apply\n"
+      "                  (refuses labels already present in the file)\n"
+      "  --force         append even if the label is already present\n"
       "  --serving MODE  multi-client serving semantics: full (default),\n"
       "                  cache-qos, or legacy (pre-QoS)\n"
       "  --help          this message\n");
@@ -596,26 +573,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Refuse invalid appends up front, before burning minutes of recording
-  // (the checked write below re-validates at write time): duplicate
-  // labels, and seed3 flip labels whose pre-qos anchor is missing.
-  if (opt.append && !opt.force) {
-    const std::string existing = ReadFileOrEmpty(opt.out);
-    if (BaselineContainsLabel(existing, opt.label)) {
-      std::fprintf(stderr,
-                   "label '%s' already exists in %s; pick a new label or pass "
-                   "--force\n",
-                   opt.label.c_str(), opt.out.c_str());
-      return 1;
-    }
-    if (RequiresSeed3Anchor(opt.label) &&
-        !BaselineContainsLabel(existing, kSeed3PreAnchor)) {
-      std::fprintf(stderr,
-                   "seed3 label '%s' requires the '%s' anchor in %s first; "
-                   "record the legacy-serving anchor or pass --force\n",
-                   opt.label.c_str(), kSeed3PreAnchor, opt.out.c_str());
-      return 1;
-    }
+  // Refuse a duplicate-label append up front, before burning minutes of
+  // recording (the checked write below re-validates at write time).
+  if (opt.append && !opt.force &&
+      BaselineContainsLabel(ReadFileOrEmpty(opt.out), opt.label)) {
+    std::fprintf(stderr,
+                 "label '%s' already exists in %s; pick a new label or pass "
+                 "--force\n",
+                 opt.label.c_str(), opt.out.c_str());
+    return 1;
   }
 
   Recorder rec(opt.tiny ? kTinyScale : kFullScale, opt.tiny);

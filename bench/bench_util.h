@@ -317,27 +317,13 @@ inline bool WriteBaselineSnapshot(const std::string& path, bool append,
   return static_cast<bool>(out);
 }
 
-/// The neutral anchor of the seed3 (cache-QoS re-seed) label family: a
-/// legacy-serving snapshot proving the QoS code landed without moving
-/// any pre-flip metric. The flip snapshots are meaningless without it.
-inline constexpr const char kSeed3PreAnchor[] = "pre-qos";
-
-/// True for seed3 flip labels that may only be appended AFTER the
-/// `pre-qos` anchor exists in the trajectory (ordering guard).
-inline bool RequiresSeed3Anchor(const std::string& label) {
-  return label == "qos-cache-only" || label == "post-qos";
-}
-
 /// The recorder's write entry point: appends (or rewrites, when `append`
 /// is false) a snapshot labelled `label`. Appending REFUSES to add a
 /// snapshot whose label already exists in the target file — a silent
 /// duplicate label would make the perf trajectory ambiguous (which
 /// "post-optimization" row is the real one?) and corrupt every diff made
-/// against it — and REFUSES a seed3 flip label (`qos-cache-only`,
-/// `post-qos`) while the `pre-qos` anchor is absent, so the family can
-/// only land in trajectory order. `force` overrides both refusals for
-/// deliberate re-records. On refusal or I/O failure returns false and
-/// describes why in *error.
+/// against it. `force` overrides the refusal for deliberate re-records.
+/// On refusal or I/O failure returns false and describes why in *error.
 inline bool RecordBaselineSnapshot(const std::string& path, bool append,
                                    bool force, const std::string& label,
                                    const std::string& snapshot_json,
@@ -347,14 +333,6 @@ inline bool RecordBaselineSnapshot(const std::string& path, bool append,
     *error = "refusing to append: label '" + label + "' already exists in " +
              path + " (duplicate labels corrupt the baseline trajectory; " +
              "pick a new label or pass --force)";
-    return false;
-  }
-  if (append && !force && RequiresSeed3Anchor(label) &&
-      !BaselineContainsLabel(existing, kSeed3PreAnchor)) {
-    *error = "refusing to append: seed3 label '" + label + "' requires the '" +
-             kSeed3PreAnchor + "' anchor snapshot in " + path +
-             " first (record the neutral legacy-serving anchor before the " +
-             "flip, or pass --force)";
     return false;
   }
   if (!WriteBaselineSnapshot(path, append, snapshot_json)) {

@@ -88,9 +88,9 @@ void BM_GraphGridHash(benchmark::State& state) {
 BENCHMARK(BM_GraphGridHash)->Arg(128)->Arg(512)->Arg(2048);
 
 void BM_GraphGridHashSerial(benchmark::State& state) {
-  // The reference single-threaded builder (the differential oracle the
-  // tiled builder is pinned against) on the same workload as
-  // BM_GraphGridHash, so the serial-vs-tiled ratio reads off directly.
+  // The reference builder (the differential oracle BuildGraphGridHash is
+  // pinned against) on the same workload as BM_GraphGridHash, so the
+  // oracle-vs-radix-route ratio reads off directly.
   const size_t n = static_cast<size_t>(state.range(0));
   const Aabb bounds(Vec3(0, 0, 0), Vec3(43, 43, 43));
   const auto objects = benchsupport::RandomObjects(n, bounds, 3);
@@ -104,26 +104,6 @@ void BM_GraphGridHashSerial(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_GraphGridHashSerial)->Arg(2048);
-
-void BM_GraphGridHashParallel(benchmark::State& state) {
-  // Tiled builder with the tile count explicit (BM_GraphGridHash routes
-  // through it with the worker-pool default). Output is bit-identical to
-  // the serial build for every tile count; only the fan-out and merge
-  // cost vary, which is exactly what this row measures.
-  const size_t n = 2048;
-  const uint32_t tiles = static_cast<uint32_t>(state.range(0));
-  const Aabb bounds(Vec3(0, 0, 0), Vec3(43, 43, 43));
-  const auto objects = benchsupport::RandomObjects(n, bounds, 3);
-  std::vector<GraphInput> inputs;
-  for (const auto& obj : objects) inputs.push_back(GraphInput{&obj, 0});
-  for (auto _ : state) {
-    SpatialGraph graph;
-    benchmark::DoNotOptimize(
-        BuildGraphGridHashTiled(inputs, bounds, 32768, tiles, &graph));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_GraphGridHashParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_GraphCsrTraverse(benchmark::State& state) {
   // Full exit-finding traversal (LabelComponents consumer shape) over the

@@ -50,6 +50,31 @@ void MergeSortedRuns(std::vector<PageId>* pages) {
   }
 }
 
+/// The pages of `region`'s result, in ascending page id order.
+void LookupPages(const SpatialIndex& index, const Region& region,
+                 std::vector<PageId>* pages) {
+  pages->clear();
+  index.QueryPages(region, pages);
+  MergeSortedRuns(pages);
+}
+
+/// Appends the objects of `data` (page `page`) that intersect `region`.
+/// Containment fast path: when the page's bounding box (and therefore
+/// every object bound inside it) lies fully inside the region, the
+/// per-object Intersects test cannot fail, so the page is batch-appended.
+void FilterPage(const Region& region, PageId page, const Page& data,
+                std::vector<GraphInput>* out) {
+  if (region.ContainsBox(data.bounds)) {
+    for (const SpatialObject& obj : data.objects) {
+      out->push_back(GraphInput{&obj, page});
+    }
+    return;
+  }
+  for (const SpatialObject& obj : data.objects) {
+    if (region.Intersects(obj.Bounds())) out->push_back(GraphInput{&obj, page});
+  }
+}
+
 }  // namespace
 
 /// PrefetchIo implementation that charges fetches against the window
@@ -168,27 +193,10 @@ class QueryExecutor::WindowIo : public PrefetchIo {
 
 void QueryExecutor::Prepare(const SpatialIndex& index, const Region& region,
                             PreparedQuery* prep) {
-  prep->pages.clear();
+  LookupPages(index, region, &prep->pages);
   prep->objects.clear();
-  index.QueryPages(region, &prep->pages);
-  MergeSortedRuns(&prep->pages);
-
   for (PageId page : prep->pages) {
-    const Page& p = index.store().page(page);
-    if (region.ContainsBox(p.bounds)) {
-      // Containment fast path: the page's bounding box (and therefore
-      // every object bound inside it) lies fully inside the region, so
-      // the per-object Intersects test cannot fail — batch-append.
-      for (const SpatialObject& obj : p.objects) {
-        prep->objects.push_back(GraphInput{&obj, page});
-      }
-      continue;
-    }
-    for (const SpatialObject& obj : p.objects) {
-      if (region.Intersects(obj.Bounds())) {
-        prep->objects.push_back(GraphInput{&obj, page});
-      }
-    }
+    FilterPage(region, page, index.store().page(page), &prep->objects);
   }
 }
 
@@ -810,17 +818,17 @@ FileSequenceStats QueryExecutor::RunSequenceFile(
   uint64_t hash = kResultHashSeed;
   const Stopwatch total_sw;
   stats.queries.reserve(queries.size());
-  PreparedQuery prep;
+  std::vector<PageId> pages;
   for (const Region& region : queries) {
-    Prepare(*index_, region, &prep);
+    LookupPages(*index_, region, &pages);
     FileQueryStats q;
     const Stopwatch q_sw;
-    q.pages_total = prep.pages.size();
+    q.pages_total = pages.size();
     file_objects_.clear();
     if (options.collect_results) stats.results.emplace_back();
 
     // --- Execute: serve result pages, decode, filter. ----------------
-    for (PageId page : prep.pages) {
+    for (PageId page : pages) {
       const Page* data = nullptr;
       if (cache_->TouchIfPresent(page)) {
         ++q.pages_hit;
@@ -833,20 +841,9 @@ FileSequenceStats QueryExecutor::RunSequenceFile(
         }
       }
       if (data == nullptr) continue;  // Degraded: partial results.
-      // Filter exactly like Prepare (containment fast path, then the
-      // per-object Intersects test) so decoded results are
-      // object-for-object identical to the in-memory oracle.
-      if (region.ContainsBox(data->bounds)) {
-        for (const SpatialObject& obj : data->objects) {
-          file_objects_.push_back(GraphInput{&obj, page});
-        }
-      } else {
-        for (const SpatialObject& obj : data->objects) {
-          if (region.Intersects(obj.Bounds())) {
-            file_objects_.push_back(GraphInput{&obj, page});
-          }
-        }
-      }
+      // The filter Prepare runs, so decoded results are object-for-object
+      // identical to the in-memory oracle.
+      FilterPage(region, page, *data, &file_objects_);
     }
     q.result_objects = file_objects_.size();
     for (const GraphInput& g : file_objects_) {
@@ -859,7 +856,7 @@ FileSequenceStats QueryExecutor::RunSequenceFile(
     QueryResultView view;
     view.region = &region;
     view.objects = std::span<const GraphInput>(file_objects_);
-    view.pages = std::span<const PageId>(prep.pages);
+    view.pages = std::span<const PageId>(pages);
     prefetcher_->Observe(view);
     file_plan_.clear();
     FilePlanIo io(this, config_.io.prefetch_budget_pages, &file_plan_);

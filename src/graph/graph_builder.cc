@@ -1,13 +1,10 @@
 #include "graph/graph_builder.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <thread>
 #include <type_traits>
 #include <unordered_map>
 
-#include "common/worker_pool.h"
 #include "geom/grid.h"
 
 namespace scout {
@@ -87,15 +84,10 @@ class EdgeSet {
   size_t size_ = 0;
 };
 
-// Grid-cell counts at or below this are grouped by a stable LSD radix
-// sort over packed (cell << 32 | vertex) keys (<= 3 byte passes over
-// sequential streams) instead of an open-addressed dense-id table.
-// Radix groups cells in ascending flat-index order rather than the
-// serial builder's first-touch order, which cannot change any output:
-// the stats counters are order-independent sums over cells, the dedup'ed
-// edge *set* is the union over cells, and SpatialGraph::Finalize sorts
-// and dedups the buffered edges, so the CSR is invariant to the order
-// cells are swept in (the differential tests pin this).
+// Direct grids (at most this many cells) whose cell id and vertex id
+// together fit in 32 bits take the radix route; every other grid takes
+// the cell-table route. The cap also bounds the radix sort at three
+// byte passes over the cell bits.
 constexpr int64_t kDirectIndexCells = int64_t{1} << 20;
 
 // Open-addressed edge set over persistent scratch storage: the slot
@@ -152,22 +144,17 @@ class ScratchEdgeSet {
   std::vector<uint32_t>* dirty_;
 };
 
-// Per-thread reusable buffers for the tiled grid-hash builder. The
-// recorder and the engine rebuild graphs back to back; keeping the flat
-// tables and arenas warm across calls removes the allocation and
-// page-fault tax from every rebuild without changing any result (every
-// buffer is fully (re)initialized per call, the direct-index tables by
-// epoch marking).
+// Per-thread reusable buffers for the grid-hash builder. The recorder
+// and the engine rebuild graphs back to back; keeping the flat tables
+// and arenas warm across calls removes the allocation and page-fault
+// tax from every rebuild without changing any result (every buffer is
+// fully (re)initialized per call).
 struct GridHashScratch {
   std::vector<Segment> lines;
-  std::vector<int64_t> cell_arena;
+  std::vector<uint32_t> keys;      ///< Radix route: packed (cell, vertex).
+  std::vector<uint32_t> keys_tmp;  ///< Radix route: ping-pong buffer.
+  std::vector<int64_t> cell_arena;  ///< Cell-table route: cells per vertex.
   std::vector<uint32_t> cell_end;
-  std::vector<std::vector<int64_t>> tile_arenas;
-  std::vector<std::vector<uint32_t>> tile_ends;
-  std::vector<uint64_t> keys;      ///< Radix mode: packed (cell, vertex).
-  std::vector<uint64_t> keys_tmp;  ///< Radix mode: ping-pong buffer.
-  std::vector<uint32_t> keys32;      ///< Compact radix mode (see below).
-  std::vector<uint32_t> keys32_tmp;  ///< Compact radix ping-pong buffer.
   std::vector<uint32_t> dense;
   std::vector<uint32_t> cell_counts;
   std::vector<uint32_t> cell_offsets;
@@ -182,23 +169,186 @@ GridHashScratch& LocalScratch() {
   return scratch;
 }
 
+// Radix route: every (cell, vertex) pair is packed into one uint32 key
+// (cell << vbits | vertex) and counted into the byte histograms as the
+// DDA walk emits it, then a stable LSD radix sort over the cell bytes
+// groups the keys into per-cell runs. Emission is vertex-major and a
+// segment's walk emits each cell once, so every run comes out in
+// ascending vertex order and duplicate-free. Runs are swept in
+// ascending cell order rather than the serial builder's first-touch
+// order; that cannot change any output, because the stats counters are
+// order-independent sums over cells and SpatialGraph::Finalize sorts
+// and dedups the buffered edges.
+void RadixRoute(const UniformGrid& grid, uint32_t n, uint32_t cell_bits,
+                uint32_t vbits, GridHashScratch* s, SpatialGraph* graph,
+                GraphBuildStats* stats) {
+  const uint32_t passes = std::max(1u, (cell_bits + 7) / 8);
+  uint32_t hist[3][256] = {};
+
+  // Emission goes through a bump pointer instead of push_back: one
+  // segment emits at most nx+ny+nz+4 cells, so a single capacity check
+  // per segment (not per cell) keeps the emit down to a store and the
+  // histogram touches. The buffer persists across calls, so steady
+  // state never grows. The emit is specialized on the radix pass count
+  // so it only feeds the histograms a pass will consume.
+  const size_t per_seg =
+      static_cast<size_t>(grid.nx()) + grid.ny() + grid.nz() + 4;
+  if (s->keys.size() < per_seg * 2) s->keys.resize(per_seg * 2);
+  uint32_t* base = s->keys.data();
+  uint32_t* cur = base;
+  const auto fused_walk = [&](auto pass_count) {
+    constexpr uint32_t kPasses = decltype(pass_count)::value;
+    for (uint32_t v = 0; v < n; ++v) {
+      if (s->keys.size() - static_cast<size_t>(cur - base) < per_seg) {
+        const size_t used = static_cast<size_t>(cur - base);
+        s->keys.resize(std::max(s->keys.size() * 2, used + per_seg));
+        base = s->keys.data();
+        cur = base + used;
+      }
+      grid.WalkCellsAlongSegment(s->lines[v], [&cur, &hist, v,
+                                               vbits](int64_t cell) {
+        const uint32_t key = (static_cast<uint32_t>(cell) << vbits) | v;
+        *cur++ = key;
+        ++hist[0][(key >> vbits) & 255];
+        if constexpr (kPasses >= 2) ++hist[1][(key >> (vbits + 8)) & 255];
+        if constexpr (kPasses >= 3) ++hist[2][(key >> (vbits + 16)) & 255];
+      });
+    }
+  };
+  if (passes == 1) {
+    fused_walk(std::integral_constant<uint32_t, 1>{});
+  } else if (passes == 2) {
+    fused_walk(std::integral_constant<uint32_t, 2>{});
+  } else {
+    fused_walk(std::integral_constant<uint32_t, 3>{});
+  }
+  const size_t size = static_cast<size_t>(cur - base);
+  stats->cell_inserts = size;
+
+  s->keys_tmp.resize(size);
+  uint32_t* src = s->keys.data();
+  uint32_t* dst = s->keys_tmp.data();
+  for (uint32_t p = 0; p < passes; ++p) {
+    uint32_t* h = hist[p];
+    uint32_t sum = 0;
+    for (int b = 0; b < 256; ++b) {
+      const uint32_t c = h[b];
+      h[b] = sum;
+      sum += c;
+    }
+    const uint32_t shift = vbits + 8 * p;
+    for (size_t i = 0; i < size; ++i) {
+      const uint32_t k = src[i];
+      dst[h[(k >> shift) & 255]++] = k;
+    }
+    std::swap(src, dst);
+  }
+  const uint32_t* sorted = src;
+
+  // Pairwise sweep — the same pairs and the same counter increments as
+  // the serial builder, with no in-sweep dedup: Finalize sorts and
+  // uniques the buffered edges anyway, so the edge buffer holds one
+  // entry per pair (bounded by pair_comparisons, the work the sweep
+  // already does). Two keys share a cell iff their XOR has no bits at
+  // or above vbits; most entries are single-member runs, so the common
+  // path is one compare per entry.
+  const uint64_t same_cell = uint64_t{1} << vbits;
+  const uint32_t vmask = static_cast<uint32_t>(same_cell - 1);
+  size_t i = 0;
+  while (i + 1 < size) {
+    if ((sorted[i] ^ sorted[i + 1]) >= same_cell) {
+      ++i;
+      continue;
+    }
+    size_t end = i + 2;
+    while (end < size && (sorted[i] ^ sorted[end]) < same_cell) ++end;
+    for (size_t a = i; a < end; ++a) {
+      const VertexId va = sorted[a] & vmask;
+      for (size_t b = a + 1; b < end; ++b) {
+        ++stats->pair_comparisons;
+        ++stats->edges_created;
+        graph->AddEdge(va, sorted[b] & vmask);
+      }
+    }
+    i = end;
+  }
+}
+
+// Cell-table route: the serial builder's algorithm over scratch
+// buffers. The (cell, vertex) pairs are staged in one arena, each
+// occupied cell gets a dense id through an open-addressed table (memory
+// proportional to occupied cells, not to the grid), a counting sort
+// forms the per-cell member runs, and cell-pair edges are dedup'ed
+// during the sweep.
+void CellTableRoute(const UniformGrid& grid, uint32_t n, GridHashScratch* s,
+                    SpatialGraph* graph, GraphBuildStats* stats) {
+  s->cell_end.resize(n);
+  s->cell_arena.clear();
+  for (uint32_t v = 0; v < n; ++v) {
+    grid.CellsAlongSegment(s->lines[v], &s->cell_arena);
+    s->cell_end[v] = static_cast<uint32_t>(s->cell_arena.size());
+  }
+  const size_t size = s->cell_arena.size();
+  stats->cell_inserts = size;
+
+  s->dense.resize(size);
+  s->cell_counts.clear();
+  const size_t table_cap = NextPow2(size * 2);
+  const size_t table_mask = table_cap - 1;
+  std::vector<int64_t> table_keys(table_cap, -1);
+  std::vector<uint32_t> table_ids(table_cap);
+  for (size_t i = 0; i < size; ++i) {
+    const int64_t cell = s->cell_arena[i];
+    size_t slot = Mix64(static_cast<uint64_t>(cell)) & table_mask;
+    while (table_keys[slot] != -1 && table_keys[slot] != cell) {
+      slot = (slot + 1) & table_mask;
+    }
+    if (table_keys[slot] == -1) {
+      table_keys[slot] = cell;
+      table_ids[slot] = static_cast<uint32_t>(s->cell_counts.size());
+      s->cell_counts.push_back(0);
+    }
+    s->dense[i] = table_ids[slot];
+    ++s->cell_counts[s->dense[i]];
+  }
+  const size_t num_cells = s->cell_counts.size();
+  s->cell_offsets.resize(num_cells + 1);
+  s->cell_offsets[0] = 0;
+  for (size_t c = 0; c < num_cells; ++c) {
+    s->cell_offsets[c + 1] = s->cell_offsets[c] + s->cell_counts[c];
+  }
+  s->members.resize(size);
+  s->cursor.assign(s->cell_offsets.begin(), s->cell_offsets.end() - 1);
+  uint32_t begin = 0;
+  for (uint32_t v = 0; v < n; ++v) {
+    for (uint32_t i = begin; i < s->cell_end[v]; ++i) {
+      s->members[s->cursor[s->dense[i]]++] = v;
+    }
+    begin = s->cell_end[v];
+  }
+
+  ScratchEdgeSet seen(static_cast<size_t>(n) * 2, &s->edge_slots,
+                      &s->edge_dirty);
+  for (size_t c = 0; c < num_cells; ++c) {
+    const uint32_t run_end = s->cell_offsets[c + 1];
+    for (uint32_t i = s->cell_offsets[c]; i < run_end; ++i) {
+      const uint64_t hi = static_cast<uint64_t>(s->members[i]) << 32;
+      for (uint32_t j = i + 1; j < run_end; ++j) {
+        ++stats->pair_comparisons;
+        ++stats->edges_created;
+        if (seen.Insert(hi | s->members[j])) {
+          graph->AddEdge(s->members[i], s->members[j]);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 GraphBuildStats BuildGraphGridHash(std::span<const GraphInput> inputs,
                                    const Aabb& bounds, int64_t total_cells,
                                    SpatialGraph* graph) {
-  // One tile per available core, capped: the DDA shards are roughly
-  // equal cost, so more tiles than cores only adds merge traffic. The
-  // tile count cannot change the output (see BuildGraphGridHashTiled).
-  const uint32_t cores = std::max(1u, std::thread::hardware_concurrency());
-  return BuildGraphGridHashTiled(inputs, bounds, total_cells,
-                                 std::min(cores, 8u), graph);
-}
-
-GraphBuildStats BuildGraphGridHashTiled(std::span<const GraphInput> inputs,
-                                        const Aabb& bounds,
-                                        int64_t total_cells, uint32_t tiles,
-                                        SpatialGraph* graph) {
   GraphBuildStats stats;
   if (inputs.empty() || bounds.IsEmpty()) return stats;
   AddVertices(inputs, graph);
@@ -206,323 +356,20 @@ GraphBuildStats BuildGraphGridHashTiled(std::span<const GraphInput> inputs,
   const UniformGrid grid = UniformGrid::WithTotalCells(bounds, total_cells);
   const uint32_t n = static_cast<uint32_t>(inputs.size());
   GridHashScratch& s = LocalScratch();
+  // Stage the lines flat so the walks stream over 48-byte segments
+  // instead of striding 72-byte vertices (same trick as the serial
+  // builder).
+  s.lines.resize(n);
+  for (uint32_t v = 0; v < n; ++v) s.lines[v] = graph->vertex(v).line;
+  stats.objects_hashed = n;
 
-  tiles = std::clamp<uint32_t>(tiles, 1, n);
-  const bool direct = grid.TotalCells() <= kDirectIndexCells;
   const uint32_t cell_bits = static_cast<uint32_t>(
       std::bit_width(static_cast<uint64_t>(grid.TotalCells() - 1)));
   const uint32_t vbits = static_cast<uint32_t>(std::bit_width(n - 1));
-  const uint32_t passes = std::max(1u, (cell_bits + 7) / 8);
-  // When cell id and vertex id together fit in 32 bits the fused route
-  // packs (cell << vbits | vertex) into uint32 keys — half the key
-  // traffic through the radix passes and the sweep. A stable radix over
-  // the cell bits leaves within-cell order equal to emission order for
-  // either key width, so the sorted (cell, vertex) sequence — and hence
-  // everything downstream — is identical to the 64-bit route's.
-  const bool fused32 = direct && tiles == 1 && cell_bits + vbits <= 32;
-  uint32_t hist[3][256] = {};
-  size_t arena_size = 0;
-
-  // Phase 1: DDA-hash every line to the cells it traverses. The
-  // single-tile direct-grid shape (the recorder and every build on a
-  // 1-core host) fuses the radix-key packing and byte histograms into
-  // the walk's emit, so each (cell, vertex) pair is produced, packed
-  // and counted in one touch with no staging arena; the emit is
-  // specialized on the radix pass count so it only feeds the
-  // histograms a pass will consume. Multi-tile builds stage per-tile
-  // arenas fanned out over the worker pool and concatenate them in
-  // ascending tile order — the serial append order element for element
-  // — then pack; either route feeds the radix passes the same key
-  // multiset, so the output cannot differ.
-  if (fused32) {
-    // Emission goes through a bump pointer instead of push_back: one
-    // segment emits at most nx+ny+nz+4 cells, so a single capacity
-    // check per segment (not per cell) keeps the emit down to a store
-    // and the histogram touches. The buffer persists across calls, so
-    // steady state never grows.
-    const size_t per_seg =
-        static_cast<size_t>(grid.nx()) + grid.ny() + grid.nz() + 4;
-    if (s.keys32.size() < per_seg * 2) s.keys32.resize(per_seg * 2);
-    uint32_t* base = s.keys32.data();
-    uint32_t* cur = base;
-    // Stage the lines flat so the walks stream over 48-byte segments
-    // instead of striding 72-byte vertices (same trick as the serial
-    // builder).
-    s.lines.resize(n);
-    for (uint32_t v = 0; v < n; ++v) s.lines[v] = graph->vertex(v).line;
-    const auto fused_walk = [&](auto pass_count) {
-      constexpr uint32_t kPasses = decltype(pass_count)::value;
-      for (uint32_t v = 0; v < n; ++v) {
-        if (s.keys32.size() - static_cast<size_t>(cur - base) < per_seg) {
-          const size_t used = static_cast<size_t>(cur - base);
-          s.keys32.resize(std::max(s.keys32.size() * 2, used + per_seg));
-          base = s.keys32.data();
-          cur = base + used;
-        }
-        const Segment& line = s.lines[v];
-        grid.WalkCellsAlongSegment(line, [&cur, &hist, v,
-                                          vbits](int64_t cell) {
-          const uint32_t key = (static_cast<uint32_t>(cell) << vbits) | v;
-          *cur++ = key;
-          ++hist[0][(key >> vbits) & 255];
-          if constexpr (kPasses >= 2) ++hist[1][(key >> (vbits + 8)) & 255];
-          if constexpr (kPasses >= 3) ++hist[2][(key >> (vbits + 16)) & 255];
-        });
-      }
-    };
-    if (passes == 1) {
-      fused_walk(std::integral_constant<uint32_t, 1>{});
-    } else if (passes == 2) {
-      fused_walk(std::integral_constant<uint32_t, 2>{});
-    } else {
-      fused_walk(std::integral_constant<uint32_t, 3>{});
-    }
-    arena_size = static_cast<size_t>(cur - base);
-  } else if (direct && tiles == 1) {
-    s.keys.clear();
-    for (uint32_t v = 0; v < n; ++v) {
-      const Segment line = graph->vertex(v).line;
-      grid.WalkCellsAlongSegment(line, [&s, &hist, v](int64_t cell) {
-        const uint64_t key = (static_cast<uint64_t>(cell) << 32) | v;
-        s.keys.push_back(key);
-        ++hist[0][(key >> 32) & 255];
-        ++hist[1][(key >> 40) & 255];
-        ++hist[2][(key >> 48) & 255];
-      });
-    }
-    arena_size = s.keys.size();
-  } else if (tiles == 1) {
-    s.lines.resize(n);
-    for (uint32_t v = 0; v < n; ++v) s.lines[v] = graph->vertex(v).line;
-    s.cell_end.resize(n);
-    s.cell_arena.clear();
-    for (uint32_t v = 0; v < n; ++v) {
-      grid.CellsAlongSegment(s.lines[v], &s.cell_arena);
-      s.cell_end[v] = static_cast<uint32_t>(s.cell_arena.size());
-    }
-    arena_size = s.cell_arena.size();
+  if (grid.TotalCells() <= kDirectIndexCells && cell_bits + vbits <= 32) {
+    RadixRoute(grid, n, cell_bits, vbits, &s, graph, &stats);
   } else {
-    s.lines.resize(n);
-    for (uint32_t v = 0; v < n; ++v) s.lines[v] = graph->vertex(v).line;
-    s.cell_end.resize(n);
-    if (s.tile_arenas.size() < tiles) {
-      s.tile_arenas.resize(tiles);
-      s.tile_ends.resize(tiles);
-    }
-    std::atomic<uint32_t> next_tile{0};
-    internal::RunOnPool(tiles, [&] {
-      for (uint32_t t = next_tile.fetch_add(1); t < tiles;
-           t = next_tile.fetch_add(1)) {
-        const uint32_t lo = static_cast<uint32_t>(uint64_t{t} * n / tiles);
-        const uint32_t hi =
-            static_cast<uint32_t>(uint64_t{t + 1} * n / tiles);
-        std::vector<int64_t>& arena = s.tile_arenas[t];
-        std::vector<uint32_t>& ends = s.tile_ends[t];
-        arena.clear();
-        ends.clear();
-        for (uint32_t v = lo; v < hi; ++v) {
-          grid.CellsAlongSegment(s.lines[v], &arena);
-          ends.push_back(static_cast<uint32_t>(arena.size()));
-        }
-      }
-    });
-    size_t total = 0;
-    for (uint32_t t = 0; t < tiles; ++t) total += s.tile_arenas[t].size();
-    s.cell_arena.resize(total);
-    size_t offset = 0;
-    uint32_t v = 0;
-    for (uint32_t t = 0; t < tiles; ++t) {
-      const std::vector<int64_t>& arena = s.tile_arenas[t];
-      std::copy(arena.begin(), arena.end(), s.cell_arena.begin() + offset);
-      for (const uint32_t end : s.tile_ends[t]) {
-        s.cell_end[v++] = static_cast<uint32_t>(offset + end);
-      }
-      offset += arena.size();
-    }
-    arena_size = total;
-  }
-  stats.objects_hashed = n;
-  stats.cell_inserts = arena_size;
-
-  // Phases 2+3: group the pairs into per-cell member runs, each run in
-  // ascending vertex order (emission is vertex-major and a segment's
-  // DDA emits each cell once, so stable grouping keeps runs sorted and
-  // duplicate-free). Dense grids LSD-radix the packed
-  // (cell << 32 | vertex) keys over the cell bytes — a few sequential
-  // streaming passes instead of a random-access hash per entry. Runs
-  // come out in ascending cell order rather than the serial builder's
-  // first-touch order; that order is unobservable (see
-  // kDirectIndexCells above).
-  const uint64_t* sorted_keys = nullptr;
-  const uint32_t* sorted32 = nullptr;
-  size_t num_cells = 0;  // Sparse mode only.
-  if (fused32) {
-    s.keys32_tmp.resize(arena_size);
-    uint32_t* src = s.keys32.data();
-    uint32_t* dst = s.keys32_tmp.data();
-    for (uint32_t p = 0; p < passes; ++p) {
-      uint32_t* h = hist[p];
-      uint32_t sum = 0;
-      for (int b = 0; b < 256; ++b) {
-        const uint32_t c = h[b];
-        h[b] = sum;
-        sum += c;
-      }
-      const uint32_t shift = vbits + 8 * p;
-      for (size_t i = 0; i < arena_size; ++i) {
-        const uint32_t k = src[i];
-        dst[h[(k >> shift) & 255]++] = k;
-      }
-      std::swap(src, dst);
-    }
-    sorted32 = src;
-  } else if (direct) {
-    if (tiles != 1) {
-      // Staged route: pack and count the merged arena now.
-      s.keys.resize(arena_size);
-      uint32_t begin = 0;
-      for (uint32_t v = 0; v < n; ++v) {
-        for (uint32_t i = begin; i < s.cell_end[v]; ++i) {
-          const uint64_t key =
-              (static_cast<uint64_t>(s.cell_arena[i]) << 32) | v;
-          s.keys[i] = key;
-          ++hist[0][(key >> 32) & 255];
-          ++hist[1][(key >> 40) & 255];
-          ++hist[2][(key >> 48) & 255];
-        }
-        begin = s.cell_end[v];
-      }
-    }
-    s.keys_tmp.resize(arena_size);
-    uint64_t* src = s.keys.data();
-    uint64_t* dst = s.keys_tmp.data();
-    for (uint32_t p = 0; p < passes; ++p) {
-      uint32_t* h = hist[p];
-      uint32_t sum = 0;
-      for (int b = 0; b < 256; ++b) {
-        const uint32_t c = h[b];
-        h[b] = sum;
-        sum += c;
-      }
-      const uint32_t shift = 32 + 8 * p;
-      for (size_t i = 0; i < arena_size; ++i) {
-        const uint64_t k = src[i];
-        dst[h[(k >> shift) & 255]++] = k;
-      }
-      std::swap(src, dst);
-    }
-    sorted_keys = src;
-  } else {
-    // Sparse grids fall back to the serial builder's open-addressed
-    // dense-id table (memory proportional to occupied cells, not the
-    // grid) followed by a counting sort into member runs.
-    s.dense.resize(arena_size);
-    s.cell_counts.clear();
-    const size_t table_cap = NextPow2(arena_size * 2);
-    const size_t table_mask = table_cap - 1;
-    std::vector<int64_t> table_keys(table_cap, -1);
-    std::vector<uint32_t> table_ids(table_cap);
-    for (size_t i = 0; i < arena_size; ++i) {
-      const int64_t cell = s.cell_arena[i];
-      size_t slot = Mix64(static_cast<uint64_t>(cell)) & table_mask;
-      while (table_keys[slot] != -1 && table_keys[slot] != cell) {
-        slot = (slot + 1) & table_mask;
-      }
-      if (table_keys[slot] == -1) {
-        table_keys[slot] = cell;
-        table_ids[slot] = static_cast<uint32_t>(s.cell_counts.size());
-        s.cell_counts.push_back(0);
-      }
-      s.dense[i] = table_ids[slot];
-      ++s.cell_counts[s.dense[i]];
-    }
-    num_cells = s.cell_counts.size();
-    s.cell_offsets.resize(num_cells + 1);
-    s.cell_offsets[0] = 0;
-    for (size_t c = 0; c < num_cells; ++c) {
-      s.cell_offsets[c + 1] = s.cell_offsets[c] + s.cell_counts[c];
-    }
-    s.members.resize(arena_size);
-    s.cursor.assign(s.cell_offsets.begin(), s.cell_offsets.end() - 1);
-    uint32_t begin = 0;
-    for (uint32_t v = 0; v < n; ++v) {
-      for (uint32_t i = begin; i < s.cell_end[v]; ++i) {
-        s.members[s.cursor[s.dense[i]]++] = v;
-      }
-      begin = s.cell_end[v];
-    }
-  }
-
-  // Phase 4: pairwise sweep — the same pairs and the same counter
-  // increments as the serial builder, whichever grouping mode ran. The
-  // sorted-key sweeps skip the in-sweep hash dedup entirely: Finalize
-  // sorts and uniques the buffered edges anyway, both counters count
-  // every considered pair unconditionally, and the dedup'ed edge set is
-  // the same set either way, so buffering duplicates changes no output.
-  // The edge buffer then holds one entry per pair instead of per unique
-  // edge — bounded by pair_comparisons, the work the sweep already does.
-  {
-    if (sorted32 != nullptr) {
-      // Flat scan over the compact keys: two keys share a cell iff
-      // their XOR has no bits at or above vbits. Most entries are
-      // single-member runs, so the common path is one compare per
-      // entry; the run machinery only engages on a same-cell hit.
-      const uint64_t same_cell = uint64_t{1} << vbits;
-      const uint32_t vmask = static_cast<uint32_t>(same_cell - 1);
-      size_t i = 0;
-      while (i + 1 < arena_size) {
-        if ((sorted32[i] ^ sorted32[i + 1]) >= same_cell) {
-          ++i;
-          continue;
-        }
-        size_t end = i + 2;
-        while (end < arena_size && (sorted32[i] ^ sorted32[end]) < same_cell) {
-          ++end;
-        }
-        for (size_t a = i; a < end; ++a) {
-          const VertexId va = sorted32[a] & vmask;
-          for (size_t b = a + 1; b < end; ++b) {
-            ++stats.pair_comparisons;
-            ++stats.edges_created;
-            graph->AddEdge(va, sorted32[b] & vmask);
-          }
-        }
-        i = end;
-      }
-    } else if (sorted_keys != nullptr) {
-      size_t i = 0;
-      while (i < arena_size) {
-        const uint64_t cell = sorted_keys[i] >> 32;
-        size_t end = i + 1;
-        while (end < arena_size && (sorted_keys[end] >> 32) == cell) ++end;
-        for (size_t a = i; a < end; ++a) {
-          const VertexId va = static_cast<VertexId>(sorted_keys[a]);
-          for (size_t b = a + 1; b < end; ++b) {
-            ++stats.pair_comparisons;
-            ++stats.edges_created;
-            graph->AddEdge(va, static_cast<VertexId>(sorted_keys[b]));
-          }
-        }
-        i = end;
-      }
-    } else {
-      ScratchEdgeSet seen(static_cast<size_t>(n) * 2, &s.edge_slots,
-                          &s.edge_dirty);
-      for (size_t c = 0; c < num_cells; ++c) {
-        const uint32_t begin = s.cell_offsets[c];
-        const uint32_t end = s.cell_offsets[c + 1];
-        for (uint32_t i = begin; i < end; ++i) {
-          const uint64_t hi = static_cast<uint64_t>(s.members[i]) << 32;
-          for (uint32_t j = i + 1; j < end; ++j) {
-            ++stats.pair_comparisons;
-            ++stats.edges_created;
-            if (seen.Insert(hi | s.members[j])) {
-              graph->AddEdge(s.members[i], s.members[j]);
-            }
-          }
-        }
-      }
-    }
+    CellTableRoute(grid, n, &s, graph, &stats);
   }
   graph->Finalize();
   return stats;

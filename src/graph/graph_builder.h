@@ -56,9 +56,19 @@ struct GraphInput {
 /// objects sharing a cell are connected. Returns stats for cost
 /// accounting. The returned graph is finalized (CSR, read-only).
 ///
-/// Implementation: one contiguous (cell, vertex) arena + a flat
-/// open-addressed cell table (no per-bucket vectors), with cell-pair
-/// edges dedup'ed during the sweep through an open-addressed edge set.
+/// Runs on the calling thread over per-thread scratch buffers, by one of
+/// two routes:
+///  - radix: on a grid of at most 2^20 cells whose cell id and vertex id
+///    fit one 32-bit key together, the DDA walk packs every
+///    (cell, vertex) pair into a key and a stable LSD radix sort over
+///    the cell bytes groups the keys into per-cell runs;
+///  - cell table: every other grid stages the pairs in an arena and
+///    groups them through an open-addressed table of occupied cells.
+/// The routes sweep cells in different orders, which no output can
+/// observe: the stats counters are order-independent sums and
+/// SpatialGraph::Finalize sorts and dedups the edge buffer. The graph
+/// CSR and every stats counter equal BuildGraphGridHashSerial's
+/// (graph_route_differential_test pins both routes).
 ///
 /// The resolution knob reproduces Figure 13(e): too coarse creates excess
 /// edges (false structures), too fine leaves the graph disconnected.
@@ -66,29 +76,10 @@ GraphBuildStats BuildGraphGridHash(std::span<const GraphInput> inputs,
                                    const Aabb& bounds, int64_t total_cells,
                                    SpatialGraph* graph);
 
-/// The tiled builder behind BuildGraphGridHash, with the tile count
-/// explicit (testing / tuning knob). The per-object DDA hashing is
-/// sharded into `tiles` contiguous vertex ranges fanned out over the
-/// engine worker pool, and the per-tile (cell, vertex) arenas are
-/// concatenated in ascending tile order — exactly the order the serial
-/// builder appends them — before the shared grouping / sweep phases
-/// run. Dense grids group the arena into per-cell runs by a stable
-/// radix sort over packed (cell, vertex) keys; sweeping cells in
-/// ascending-index order instead of the serial builder's first-touch
-/// order is unobservable, because the stats counters are
-/// order-independent sums and SpatialGraph::Finalize sorts and dedups
-/// the edge buffer. The graph CSR and every stats counter are therefore
-/// bit-identical to BuildGraphGridHashSerial for every tile count (the
-/// parallel differential tests pin this across 1/2/4/8 tiles).
-GraphBuildStats BuildGraphGridHashTiled(std::span<const GraphInput> inputs,
-                                        const Aabb& bounds,
-                                        int64_t total_cells, uint32_t tiles,
-                                        SpatialGraph* graph);
-
-/// Reference single-threaded grid-hash implementation, kept as the
-/// differential oracle the tiled builder is diffed against. No scratch
-/// reuse, no tiling — the shape that is easiest to audit against the
-/// paper's Figure 4 description.
+/// Reference grid-hash implementation, kept as the differential oracle
+/// BuildGraphGridHash is diffed against. No scratch reuse and one route
+/// — the shape that is easiest to audit against the paper's Figure 4
+/// description.
 GraphBuildStats BuildGraphGridHashSerial(std::span<const GraphInput> inputs,
                                          const Aabb& bounds,
                                          int64_t total_cells,

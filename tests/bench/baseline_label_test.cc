@@ -72,73 +72,6 @@ TEST(BaselineLabelTest, AppendRefusesDuplicateLabel) {
   std::remove(path.c_str());
 }
 
-TEST(BaselineLabelTest, Seed3FlipLabelsRequireThePreQosAnchor) {
-  // The seed3 (cache-QoS re-seed) family must land in trajectory order:
-  // the neutral legacy-serving anchor first, then the flip snapshots.
-  // Appending a flip label into a file without the anchor is refused.
-  const std::string path = TempPath("baseline_seed3_order.json");
-  std::remove(path.c_str());
-  std::string error;
-  ASSERT_TRUE(RecordBaselineSnapshot(path, /*append=*/false, /*force=*/false,
-                                     "post-multiclient",
-                                     OneRowSnapshot("post-multiclient"),
-                                     &error))
-      << error;
-
-  for (const char* label : {"qos-cache-only", "post-qos"}) {
-    error.clear();
-    EXPECT_FALSE(RecordBaselineSnapshot(path, /*append=*/true,
-                                        /*force=*/false, label,
-                                        OneRowSnapshot(label), &error))
-        << label;
-    EXPECT_NE(error.find("pre-qos"), std::string::npos) << error;
-    EXPECT_NE(error.find(label), std::string::npos) << error;
-  }
-
-  // Once the anchor lands, the family appends in order.
-  ASSERT_TRUE(RecordBaselineSnapshot(path, /*append=*/true, /*force=*/false,
-                                     "pre-qos", OneRowSnapshot("pre-qos"),
-                                     &error))
-      << error;
-  EXPECT_TRUE(RecordBaselineSnapshot(path, /*append=*/true, /*force=*/false,
-                                     "qos-cache-only",
-                                     OneRowSnapshot("qos-cache-only"),
-                                     &error))
-      << error;
-  EXPECT_TRUE(RecordBaselineSnapshot(path, /*append=*/true, /*force=*/false,
-                                     "post-qos", OneRowSnapshot("post-qos"),
-                                     &error))
-      << error;
-  std::remove(path.c_str());
-}
-
-TEST(BaselineLabelTest, Seed3OrderingGuardGatesOnlyTheAppendPath) {
-  const std::string path = TempPath("baseline_seed3_force.json");
-  std::remove(path.c_str());
-  std::string error;
-  // A rewrite replaces the file wholesale; ordering applies to appends.
-  EXPECT_TRUE(RecordBaselineSnapshot(path, /*append=*/false, /*force=*/false,
-                                     "post-qos", OneRowSnapshot("post-qos"),
-                                     &error))
-      << error;
-  // --force is the deliberate out-of-order override.
-  std::remove(path.c_str());
-  ASSERT_TRUE(RecordBaselineSnapshot(path, /*append=*/false, /*force=*/false,
-                                     "first", OneRowSnapshot("first"),
-                                     &error))
-      << error;
-  EXPECT_TRUE(RecordBaselineSnapshot(path, /*append=*/true, /*force=*/true,
-                                     "post-qos", OneRowSnapshot("post-qos"),
-                                     &error))
-      << error;
-  // The anchor label itself is never gated (it IS the prerequisite).
-  EXPECT_TRUE(RecordBaselineSnapshot(path, /*append=*/true, /*force=*/false,
-                                     "pre-qos", OneRowSnapshot("pre-qos"),
-                                     &error))
-      << error;
-  std::remove(path.c_str());
-}
-
 TEST(BaselineLabelTest, SnapshotIsStampedWithTheCompiledSimdLane) {
   // Micro rows recorded under different SIMD backends measure different
   // code; the snapshot must carry the lane label of the binary that
