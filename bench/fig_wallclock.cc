@@ -115,8 +115,9 @@ int main(int argc, char** argv) {
   std::printf(
       "\nwall_ms = real elapsed time of the sequence; demand = reads\n"
       "issued for logical cache misses; prefetch = plan pages fetched\n"
-      "(inline in sync, by the fetch worker in async); latewait =\n"
-      "logically-hit pages whose bytes were still in flight. The result\n"
+      "(inline in sync; in async by the fetch worker, or by the executor\n"
+      "when it takes a queued page); latewait = logically-hit pages whose\n"
+      "bytes were still queued or in flight. The result\n"
       "hash of all four runs is verified identical, and cold async must\n"
       "beat cold sync by >= 1.2x (exit 1 otherwise).\n");
   return 0;

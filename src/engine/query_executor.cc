@@ -546,15 +546,13 @@ SequenceRunStats QueryExecutor::RunSequence(
 // purely LOGICAL plane driven through the exact same operation sequence
 // in sync and async mode (so hits, evictions and fetch sets are
 // bit-identical and rerun-deterministic), while bytes travel through
-// frames_ — inline in sync mode, via the AsyncPrefetchPipeline's fetch
-// worker in async mode. The worker never touches the cache; every cache
-// mutation below runs on the executor thread.
+// frames_ — inline in sync mode; in async mode through the
+// AsyncPrefetchPipeline's plan queue, which the fetch worker and the
+// executor both take pages from. The worker never touches the cache;
+// every cache mutation below runs on the executor thread.
 // ===================================================================
 
 namespace {
-
-/// Executor-side wait granularity while a needed page is in flight.
-constexpr std::chrono::microseconds kAwaitPoll{20};
 
 uint64_t Fnv1a(uint64_t h, const void* bytes, size_t n) {
   const unsigned char* p = static_cast<const unsigned char*>(bytes);
@@ -718,51 +716,60 @@ bool QueryExecutor::ApplyCompletion(AsyncFetchResult&& r, FileQueryStats* q) {
   return true;
 }
 
+bool QueryExecutor::ReadPageInline(PageId page, FileQueryStats* q) {
+  AsyncFetchResult r;
+  r.page = page;
+  r.status = config_.io.store->ReadPage(page, &r.data);
+  return ApplyCompletion(std::move(r), q);
+}
+
 const Page* QueryExecutor::AwaitFramePage(PageId page,
                                           AsyncPrefetchPipeline* pipeline,
                                           FileQueryStats* q) {
   if (frames_[page] != nullptr) return frames_[page].get();
   if (pipeline == nullptr) return nullptr;
-  // The page is logically cached but its bytes are still in flight — a
-  // "late hit": keep draining completions (applying them serially on
-  // this thread) until it lands or its fetch is known to have failed.
-  bool waited = false;
-  while (frames_[page] == nullptr) {
-    AsyncFetchResult r;
-    if (pipeline->TryDrainOne(&r)) {
-      const PageId done = r.page;
-      const bool ok = ApplyCompletion(std::move(r), q);
-      if (done == page && !ok) break;
-      continue;
-    }
-    if (pipeline->pending() == 0) break;  // Not in flight: never coming.
-    std::this_thread::sleep_for(kAwaitPoll);
-    waited = true;
+  // The page is logically cached but its bytes are not in frames_ yet.
+  // Apply the completions that are ready; it may be among them.
+  AsyncFetchResult r;
+  while (pipeline->TryDrainOne(&r)) {
+    const PageId done = r.page;
+    if (!ApplyCompletion(std::move(r), q) && done == page) return nullptr;
   }
-  if (waited) ++q->late_hit_waits;
-  return frames_[page] == nullptr ? nullptr : frames_[page].get();
+  if (frames_[page] != nullptr) return frames_[page].get();
+  // A late hit. A page the worker has not started is taken out of the
+  // queue and read here, on this thread's own device channel; only a
+  // page already in service is waited for.
+  switch (pipeline->TakeQueued(page)) {
+    case AsyncPrefetchPipeline::Stage::kAbsent:
+      return nullptr;  // Not in flight: never coming.
+    case AsyncPrefetchPipeline::Stage::kTaken:
+      ++q->late_hit_waits;
+      ++q->late_hit_steals;
+      ReadPageInline(page, q);
+      break;
+    case AsyncPrefetchPipeline::Stage::kInFlight:
+      ++q->late_hit_waits;
+      while (frames_[page] == nullptr && pipeline->WaitDrainOne(&r)) {
+        const PageId done = r.page;
+        if (!ApplyCompletion(std::move(r), q) && done == page) break;
+      }
+      break;
+  }
+  return frames_[page].get();
 }
 
-const Page* QueryExecutor::DemandReadFilePage(PageId page,
-                                              AsyncPrefetchPipeline* pipeline,
-                                              FileQueryStats* q,
+const Page* QueryExecutor::DemandReadFilePage(PageId page, FileQueryStats* q,
                                               FileSequenceStats* stats) {
   FilePageStore* store = config_.io.store;
   ++q->demand_reads;
   stats->demand_order.push_back(page);
   const uint32_t max_retries = config_.fault_policy.max_retries;
   for (uint32_t attempt = 0;; ++attempt) {
-    AsyncFetchResult r;
-    if (pipeline != nullptr) {
-      // Demand promotion: issued ahead of the prediction backlog.
-      r = pipeline->FetchDemand(page);
-    } else {
-      r.page = page;
-      r.status = store->ReadPage(page, &r.data);
-    }
-    if (r.status.ok()) {
+    Page data;
+    const Status st = store->ReadPage(page, &data);
+    if (st.ok()) {
       if (frames_[page] == nullptr) {
-        frames_[page] = std::make_unique<Page>(std::move(r.data));
+        frames_[page] = std::make_unique<Page>(std::move(data));
       }
       return frames_[page].get();
     }
@@ -770,9 +777,8 @@ const Page* QueryExecutor::DemandReadFilePage(PageId page,
     // Only transient (kUnavailable) failures are worth retrying; the
     // file backend has no simulated clock, so retries are immediate
     // (each attempt advances the fault schedule's op timeline).
-    if (r.status.code() != StatusCode::kUnavailable ||
-        attempt >= max_retries) {
-      q->outcome = r.status.code();
+    if (st.code() != StatusCode::kUnavailable || attempt >= max_retries) {
+      q->outcome = st.code();
       return nullptr;
     }
     ++q->retries;
@@ -835,7 +841,7 @@ FileSequenceStats QueryExecutor::RunSequenceFile(
         data = AwaitFramePage(page, pipeline.get(), &q);
       }
       if (data == nullptr) {
-        data = DemandReadFilePage(page, pipeline.get(), &q, &stats);
+        data = DemandReadFilePage(page, &q, &stats);
         if (data != nullptr && config_.cache_residual_reads) {
           cache_->Insert(page);
         }
@@ -865,47 +871,38 @@ FileSequenceStats QueryExecutor::RunSequenceFile(
 
     // --- Fetch the plan. The logical Insert happens at the same
     // operation position in both modes; only the bytes' transport
-    // differs. Async transport is HYBRID: until the next query arrives
-    // (think_time_us after the response) the executor is idle anyway —
-    // sync spends exactly that gap fetching inline — so leading plan
-    // pages are read inline here and only the overflow is handed to
-    // the worker. The two device channels (executor + worker) then
-    // fetch concurrently, and the pages the next query touches first
-    // are the ones guaranteed present. -------------------------------
+    // differs. Sync reads each plan page inline. Async queues the whole
+    // plan at once, so the fetch worker starts at once, then spends
+    // what is left of the think gap reading the oldest queued pages on
+    // this thread: the executor's device channel works beside the
+    // worker's instead of idling through the gap. --------------------
     for (PageId page : file_plan_) {
       cache_->Insert(page);
       stats.prefetch_order.push_back(page);
-      const bool think_gap_spent =
-          q_sw.ElapsedMicros() - q.wall_response_us >=
-          config_.io.think_time_us;
-      if (pipeline != nullptr && think_gap_spent) {
-        while (!pipeline->TryEnqueue(page)) {
-          // Backpressure: drain completions (serially, here) until the
-          // in-flight budget frees a slot. Predictions are never
-          // dropped, preserving the superset-ordering contract.
-          AsyncFetchResult r;
-          if (pipeline->TryDrainOne(&r)) {
-            ApplyCompletion(std::move(r), &q);
-          } else {
-            std::this_thread::sleep_for(kAwaitPoll);
-          }
-        }
-      } else {
-        Page tmp;
-        const Status st = store->ReadPage(page, &tmp);
-        if (!st.ok()) {
-          ++q.faults_seen;
-          cache_->Erase(page);  // Mirrors the async failed-completion path.
-        } else if (frames_[page] == nullptr) {
-          frames_[page] = std::make_unique<Page>(std::move(tmp));
-        }
+      if (pipeline == nullptr) {
+        ReadPageInline(page, &q);
+        continue;
       }
+      while (!pipeline->TryEnqueue(page)) {
+        // Backpressure: apply a completion to free a slot. Plan pages
+        // are never dropped, preserving the superset-ordering contract.
+        AsyncFetchResult r;
+        if (pipeline->WaitDrainOne(&r)) ApplyCompletion(std::move(r), &q);
+      }
+    }
+    PageId oldest = kInvalidPageId;
+    while (pipeline != nullptr &&
+           q_sw.ElapsedMicros() - q.wall_response_us <
+               config_.io.think_time_us &&
+           pipeline->TakeOldest(&oldest)) {
+      ReadPageInline(oldest, &q);
     }
 
     // --- Think time: the user issues the next query think_time_us
-    // after seeing the response. Prediction and (sync) plan fetching
-    // run inside that gap and delay the next query when they overrun
-    // it — the overrun is exactly what async mode hides. -------------
+    // after seeing the response. Prediction and the plan reads started
+    // inside that gap delay the next query when they overrun it: sync
+    // reads the whole plan there, async only the pages it took before
+    // the gap ran out. -------------------------------------------------
     const int64_t after_response = q_sw.ElapsedMicros() - q.wall_response_us;
     if (config_.io.think_time_us > after_response) {
       std::this_thread::sleep_for(
@@ -916,18 +913,17 @@ FileSequenceStats QueryExecutor::RunSequenceFile(
   }
 
   if (pipeline != nullptr) {
-    // Quiesce: let the worker finish the final plan, then apply the
-    // remaining completions on this thread.
-    pipeline->WaitWorkerIdle();
+    // Quiesce: the worker reads what is still queued and exits, then
+    // the remaining completions are applied on this thread.
+    pipeline->Stop();
     FileQueryStats* tail =
         stats.queries.empty() ? nullptr : &stats.queries.back();
     AsyncFetchResult r;
     while (pipeline->TryDrainOne(&r)) ApplyCompletion(std::move(r), tail);
-    // Superset-ordering contract: the worker issued exactly the
-    // non-inline plan pages, in plan order — its log must be a
+    // Superset-ordering contract: the worker issued the plan pages the
+    // executor did not take, in plan order — its log must be a
     // subsequence of the plan.
     assert(IsSubsequence(pipeline->IssueLog(), stats.prefetch_order));
-    pipeline->Stop();
   }
   if (!owns_cache()) cache_->SetActiveSession(PrefetchCache::kNoSession);
   stats.result_hash = hash;

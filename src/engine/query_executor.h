@@ -111,9 +111,11 @@ struct FileIoConfig {
   /// The on-disk page store to serve from. Borrowed, never owned;
   /// required when backend == kFile.
   FilePageStore* store = nullptr;
-  /// Decoupled async prefetching: plan pages are enqueued to a
-  /// dedicated fetch worker instead of being fetched inline, so fetch
-  /// overlaps prediction, think time and the next query's execution.
+  /// Async prefetching: plan pages are queued for a dedicated fetch
+  /// worker instead of being fetched inline, so fetch overlaps
+  /// prediction, think time and the next query's execution. The
+  /// executor takes queued pages too: during the think gap, and on a
+  /// late hit the worker has not started.
   bool async_prefetch = false;
   /// Prefetch budget per window, in pages. The file backend has no
   /// simulated clock, so the window is bounded by page count rather
@@ -124,9 +126,11 @@ struct FileIoConfig {
   /// drained); enqueueing backpressures beyond it.
   size_t max_in_flight = 64;
   /// Emulated user think time between response delivery and the next
-  /// query (wall microseconds). The sync path fetches its plan inside
-  /// this gap and overruns it when the plan is slow; the async path
-  /// always sleeps the full gap while the worker fetches.
+  /// query (wall microseconds). The sync path reads its whole plan
+  /// inside this gap and overruns it when the plan is slow. The async
+  /// path reads queued plan pages while the gap lasts, and a read it
+  /// starts runs to completion, so it overruns the gap too whenever a
+  /// read starts late in it; it sleeps only when no page is left queued.
   int64_t think_time_us = 0;
 };
 
@@ -139,7 +143,10 @@ struct FileQueryStats {
   size_t result_objects = 0;
   size_t demand_reads = 0;    ///< Reads issued for logical misses.
   size_t prefetch_planned = 0;  ///< Plan pages fetched/enqueued.
-  size_t late_hit_waits = 0;  ///< Hits whose bytes were still in flight.
+  size_t late_hit_waits = 0;  ///< Hits whose bytes were still queued or
+                              ///< in flight.
+  size_t late_hit_steals = 0;  ///< Late hits the executor read itself
+                               ///< (also counted in late_hit_waits).
   uint64_t faults_seen = 0;
   uint32_t retries = 0;
   StatusCode outcome = StatusCode::kOk;
@@ -155,8 +162,8 @@ struct FileSequenceStats {
   /// bit-identity fingerprint the differential tests compare across
   /// backends and modes.
   uint64_t result_hash = 0;
-  /// Pages in the order prefetch reads were ISSUED (executor order in
-  /// sync mode, fetch-worker order in async mode).
+  /// Plan pages in plan order, the order the executor issued them in
+  /// both modes.
   std::vector<PageId> prefetch_order;
   /// Pages in the order demand reads were issued.
   std::vector<PageId> demand_order;
@@ -307,13 +314,13 @@ class QueryExecutor {
   /// name a FilePageStore): result pages are decoded from the on-disk
   /// page file, the prefetch cache tracks the same logical plan as the
   /// simulated path, and wall-clock serving time is measured. With
-  /// io.async_prefetch the plan is fetched by a decoupled worker
-  /// (prefetch overlaps execution); without it, fetches block the query
-  /// loop. Both modes drive the prefetch cache through an identical
-  /// logical operation sequence, so hits, fetch sets and decoded
-  /// results are bit-identical between them (fault-free; pinned by
-  /// engine_async_differential_test). Single-stream executors only
-  /// (owned cache, private disk).
+  /// io.async_prefetch the plan is queued for a fetch worker that the
+  /// executor helps drain (prefetch overlaps execution); without it,
+  /// fetches block the query loop. Both modes drive the prefetch cache
+  /// through an identical logical operation sequence, so hits, fetch
+  /// sets and decoded results are bit-identical between them
+  /// (fault-free; pinned by engine_async_differential_test).
+  /// Single-stream executors only (owned cache, private disk).
   FileSequenceStats RunSequenceFile(std::span<const Region> queries);
   FileSequenceStats RunSequenceFile(std::span<const Region> queries,
                                     const FileRunOptions& options);
@@ -376,23 +383,28 @@ class QueryExecutor {
 
   // ---- Real-I/O (file backend) serving; see RunSequenceFile. --------
 
-  /// Applies one async completion on the executor thread: decoded bytes
-  /// land in frames_; a failed fetch erases the page's logical cache
-  /// entry (it never arrived). Returns status.ok(). The worker never
-  /// touches the cache — this is the serial-apply seam.
+  /// Applies one fetch on the executor thread: decoded bytes land in
+  /// frames_; a failed fetch erases the page's logical cache entry (it
+  /// never arrived). Returns status.ok(). The worker never touches the
+  /// cache — this is the serial-apply seam.
   bool ApplyCompletion(AsyncFetchResult&& r, FileQueryStats* q);
 
+  /// Reads one plan page on this thread and applies it.
+  bool ReadPageInline(PageId page, FileQueryStats* q);
+
   /// Bytes of a logically-cached page: served from frames_, or (async)
-  /// awaited from the in-flight pipeline, draining completions while
-  /// waiting. Null when the page's fetch failed (caller demand-reads).
+  /// from the pipeline. A late hit on a page still queued is taken out
+  /// of the queue and read here; one in service is waited for. Null
+  /// when the page's fetch failed or is not pending (caller
+  /// demand-reads).
   const Page* AwaitFramePage(PageId page, AsyncPrefetchPipeline* pipeline,
                              FileQueryStats* q);
 
-  /// Demand read with retries (fault_policy.max_retries), promoted past
-  /// the prediction backlog in async mode. Null after retry exhaustion
-  /// (outcome is set on `q`).
-  const Page* DemandReadFilePage(PageId page, AsyncPrefetchPipeline* pipeline,
-                                 FileQueryStats* q, FileSequenceStats* stats);
+  /// Demand read on this thread, with retries
+  /// (fault_policy.max_retries). It never waits behind queued plan
+  /// pages. Null after retry exhaustion (outcome is set on `q`).
+  const Page* DemandReadFilePage(PageId page, FileQueryStats* q,
+                                 FileSequenceStats* stats);
 
   const SpatialIndex* index_;
   Prefetcher* prefetcher_;

@@ -1,105 +1,106 @@
 #include "prefetch/async_pipeline.h"
 
 #include <algorithm>
-#include <chrono>
 
 namespace scout {
-namespace {
-
-/// Idle-poll granularity of the worker and of WaitWorkerIdle. Far below
-/// the emulated device latency, so polling never dominates; coarse
-/// enough that an idle pipeline costs ~nothing.
-constexpr std::chrono::microseconds kIdlePoll{20};
-
-}  // namespace
 
 AsyncPrefetchPipeline::AsyncPrefetchPipeline(FilePageStore* store,
                                              const Options& options)
     : store_(store), options_(options) {
-  // The in-flight bound may not exceed the ring capacity: it is what
-  // guarantees the completion ring always has room, so the worker's
-  // publish never blocks (and the executor never deadlocks against it).
-  options_.max_in_flight =
-      std::max<size_t>(1, std::min(options_.max_in_flight, kRingCapacity));
+  options_.max_in_flight = std::max<size_t>(1, options_.max_in_flight);
 }
 
-AsyncPrefetchPipeline::~AsyncPrefetchPipeline() {
-  Stop();
-  // Free any completions the executor never drained.
-  AsyncFetchResult* r = nullptr;
-  while (completions_.TryPop(&r)) delete r;
-}
+AsyncPrefetchPipeline::~AsyncPrefetchPipeline() { Stop(); }
 
 void AsyncPrefetchPipeline::Start() {
-  if (running_) return;
-  stop_.store(false, std::memory_order_release);
+  if (worker_.joinable()) return;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    stop_ = false;
+  }
   worker_ = std::thread([this] { WorkerLoop(); });
-  running_ = true;
 }
 
 void AsyncPrefetchPipeline::Stop() {
-  if (!running_) return;
-  stop_.store(true, std::memory_order_release);
+  if (!worker_.joinable()) return;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  work_cv_.notify_one();
   worker_.join();
-  running_ = false;
 }
 
 bool AsyncPrefetchPipeline::TryEnqueue(PageId page) {
-  if (pending() >= options_.max_in_flight) return false;
-  if (!requests_.TryPush(page)) return false;
-  ++enqueued_;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    const size_t pending = queue_.size() + completions_.size() +
+                           (in_service_ != kInvalidPageId ? 1 : 0);
+    if (pending >= options_.max_in_flight) return false;
+    queue_.push_back(page);
+  }
+  work_cv_.notify_one();
   return true;
 }
 
 bool AsyncPrefetchPipeline::TryDrainOne(AsyncFetchResult* out) {
-  AsyncFetchResult* r = nullptr;
-  if (!completions_.TryPop(&r)) return false;
-  *out = std::move(*r);
-  delete r;
-  ++drained_;
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (completions_.empty()) return false;
+  *out = std::move(completions_.front());
+  completions_.pop_front();
   return true;
 }
 
-AsyncFetchResult AsyncPrefetchPipeline::FetchDemand(PageId page) {
-  // Promotion lane: issued right here on the caller's thread, ahead of
-  // everything still queued in requests_. The store's ReadPage is
-  // thread-safe, so this read proceeds concurrently with the worker's
-  // current prefetch — demand never waits behind the backlog.
-  ++demand_promotions_;
-  AsyncFetchResult r;
-  r.page = page;
-  r.status = store_->ReadPage(page, &r.data);
-  if (!r.status.ok()) failed_fetches_.fetch_add(1, std::memory_order_relaxed);
-  return r;
+bool AsyncPrefetchPipeline::WaitDrainOne(AsyncFetchResult* out) {
+  std::unique_lock<std::mutex> lock(mu_);
+  done_cv_.wait(lock, [this] {
+    return !completions_.empty() || stop_ ||
+           (queue_.empty() && in_service_ == kInvalidPageId);
+  });
+  if (completions_.empty()) return false;
+  *out = std::move(completions_.front());
+  completions_.pop_front();
+  return true;
 }
 
-void AsyncPrefetchPipeline::WaitWorkerIdle() const {
-  while (!WorkerIdle()) std::this_thread::sleep_for(kIdlePoll);
+AsyncPrefetchPipeline::Stage AsyncPrefetchPipeline::TakeQueued(PageId page) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  const auto it = std::find(queue_.begin(), queue_.end(), page);
+  if (it != queue_.end()) {
+    queue_.erase(it);
+    return Stage::kTaken;
+  }
+  if (in_service_ == page) return Stage::kInFlight;
+  for (const AsyncFetchResult& r : completions_) {
+    if (r.page == page) return Stage::kInFlight;
+  }
+  return Stage::kAbsent;
+}
+
+bool AsyncPrefetchPipeline::TakeOldest(PageId* page) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (queue_.empty()) return false;
+  *page = queue_.front();
+  queue_.pop_front();
+  return true;
 }
 
 void AsyncPrefetchPipeline::WorkerLoop() {
-  PageId page = kInvalidPageId;
+  std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    if (!requests_.TryPop(&page)) {
-      if (stop_.load(std::memory_order_acquire)) return;
-      std::this_thread::sleep_for(kIdlePoll);
-      continue;
-    }
-    auto r = std::make_unique<AsyncFetchResult>();
-    r->page = page;
-    issue_log_.push_back(page);
-    r->status = store_->ReadPage(page, &r->data);
-    if (!r->status.ok()) {
-      failed_fetches_.fetch_add(1, std::memory_order_relaxed);
-    }
-    // Never full: outstanding completions are bounded by the in-flight
-    // budget, which is clamped to the ring capacity. The defensive spin
-    // keeps even a violated invariant from losing a page.
-    while (!completions_.TryPush(r.get())) {
-      std::this_thread::sleep_for(kIdlePoll);
-    }
-    r.release();
-    completed_.fetch_add(1, std::memory_order_release);
+    work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) break;  // Stopped with the queue drained.
+    AsyncFetchResult r;
+    r.page = queue_.front();
+    queue_.pop_front();
+    in_service_ = r.page;
+    issue_log_.push_back(r.page);
+    lock.unlock();
+    r.status = store_->ReadPage(r.page, &r.data);
+    lock.lock();
+    in_service_ = kInvalidPageId;
+    completions_.push_back(std::move(r));
+    done_cv_.notify_one();
   }
 }
 

@@ -1,12 +1,12 @@
 #pragma once
 
-#include <atomic>
+#include <condition_variable>
 #include <cstdint>
-#include <memory>
+#include <deque>
+#include <mutex>
 #include <thread>
 #include <vector>
 
-#include "common/spsc_ring.h"
 #include "common/status.h"
 #include "storage/file_page_store.h"
 #include "storage/page.h"
@@ -14,129 +14,95 @@
 namespace scout {
 
 /// One completed fetch handed back from the fetch worker to the
-/// executor. Ownership travels through the completion ring as a raw
-/// pointer; TryDrainOne rewraps it before the executor sees it.
+/// executor.
 struct AsyncFetchResult {
   PageId page = kInvalidPageId;
   Status status;
   Page data;  ///< Valid only when status.ok().
 };
 
-/// Decoupled asynchronous prefetch pipeline over a FilePageStore
-/// (prefedge's prefetcher thread + per-thread pipes, C++-ified): ONE
-/// dedicated fetch worker drains a bounded SPSC ring of predicted page
-/// ids, performs the real reads, and hands each completed page back
-/// through a second SPSC ring. The executor thread is the only producer
-/// of requests and the only consumer of completions, so both rings run
-/// under the strict SPSC contract (the `ring-single-writer` lint rule
-/// pins all TryPush/TryPop call sites to this translation unit).
+/// Asynchronous prefetch pipeline over a FilePageStore: one plan queue
+/// that a dedicated fetch worker and the executor both take pages from.
+/// One mutex guards the queued pages, the page in service and the list
+/// of completions; waits block on condition variables, never poll.
 ///
 /// Division of labour, by design:
-///   * The worker ONLY reads pages and publishes completions. It never
-///     touches the PrefetchCache (whose attribution via SetActiveSession
-///     and LRU state are single-writer, serial-apply structures) — all
-///     cache mutations happen on the executor thread when it drains
-///     completions. This is what makes async serving race-free against
-///     the shared-cache serial apply loop (TSan-pinned).
-///   * Backpressure, never loss: TryEnqueue refuses (rather than drops)
-///     when the in-flight budget or the ring is full, and the executor
-///     retries after draining. Every accepted prediction is eventually
-///     fetched in FIFO order, so the pipeline's issue order is exactly
-///     the plan order — the superset-ordering contract the differential
-///     test checks.
-///   * Demand promotion: a demand miss must not wait behind the
-///     prediction backlog. FetchDemand bypasses the ring entirely and
-///     issues the read immediately on the calling thread, concurrently
-///     with the worker's in-flight prefetch (a real device serves queue
-///     depth 2 happily) — the "jump the queue" lane.
+///   * The worker reads queued pages in FIFO (plan) order and publishes
+///     each as a completion. It never touches the PrefetchCache — the
+///     executor applies completions on its own thread, which is what
+///     keeps shared-cache attribution race-free (TSan-pinned).
+///   * The executor may take a page out of the queue and read it on its
+///     own thread: a late hit on a page the worker has not started, or
+///     the oldest queued page while the think gap leaves the executor
+///     idle. A taken page is never read by the worker, so every page is
+///     read exactly once and the worker's issue log stays a subsequence
+///     of the plan order.
+///   * Backpressure, never loss: TryEnqueue refuses when max_in_flight
+///     pages are pending, and the caller drains completions and retries.
 class AsyncPrefetchPipeline {
  public:
   struct Options {
-    /// Bound on pages accepted into the pipeline but not yet drained
-    /// (queued + in flight + completed-undrained). Clamped to the ring
-    /// capacity, which also guarantees the worker can always publish a
-    /// completion without blocking.
+    /// Bound on pending pages (queued + in service + completed but not
+    /// yet drained).
     size_t max_in_flight = 64;
+  };
+
+  /// Where a page stands, as TakeQueued reports it.
+  enum class Stage {
+    kAbsent,    ///< Neither queued, in service nor completed-undrained.
+    kTaken,     ///< Was queued; now removed, the caller must read it.
+    kInFlight,  ///< In service or completed: its completion will come.
   };
 
   AsyncPrefetchPipeline(FilePageStore* store, const Options& options);
   AsyncPrefetchPipeline(const AsyncPrefetchPipeline&) = delete;
   AsyncPrefetchPipeline& operator=(const AsyncPrefetchPipeline&) = delete;
+  /// Stops (draining the queue) and joins the worker.
   ~AsyncPrefetchPipeline();
 
   /// Spawns the fetch worker (idempotent).
   void Start();
-  /// Joins the fetch worker (idempotent). Undrained completions remain
-  /// drainable afterwards.
+  /// Lets the worker read every queued page, then joins it
+  /// (idempotent). Undrained completions remain drainable afterwards.
   void Stop();
 
-  /// Submits a predicted page to the fetch worker. Executor (producer)
-  /// thread only. Returns false when the in-flight budget is exhausted —
-  /// the caller drains completions and retries; predictions are never
-  /// dropped.
+  /// Queues a plan page for the worker. Returns false when
+  /// max_in_flight pages are pending.
   bool TryEnqueue(PageId page);
 
-  /// Pops one completed fetch, if any. Executor (consumer) thread only.
+  /// Pops one completion if one is ready.
   bool TryDrainOne(AsyncFetchResult* out);
+  /// Blocks until a completion is ready and pops it. Returns false at
+  /// once when no completion can come: nothing is queued or in service,
+  /// or no worker runs.
+  bool WaitDrainOne(AsyncFetchResult* out);
 
-  /// Demand promotion: reads `page` immediately on the calling thread,
-  /// jumping the prediction backlog (see class comment). Retries are the
-  /// caller's policy.
-  AsyncFetchResult FetchDemand(PageId page);
+  /// Removes `page` from the queue if the worker has not started it.
+  Stage TakeQueued(PageId page);
+  /// Removes the oldest queued page, if any, into `*page`.
+  bool TakeOldest(PageId* page);
 
-  /// Pages accepted but not yet drained. Executor thread only (reads
-  /// producer-side counters).
-  size_t pending() const { return enqueued_ - drained_; }
-
-  /// True once the worker has completed every accepted request (the
-  /// completions may still be waiting to be drained). Executor thread
-  /// only.
-  bool WorkerIdle() const {
-    return completed_.load(std::memory_order_acquire) == enqueued_;
-  }
-
-  /// Blocks (polling) until WorkerIdle(). Executor thread only.
-  void WaitWorkerIdle() const;
-
-  /// Page ids in the order the WORKER issued them (= FIFO plan order).
-  /// Executor thread only, and only while the worker is idle — the
-  /// acquire on the completion counter is what publishes the entries.
+  /// Page ids in the order the WORKER issued them. Read only after
+  /// Stop(), once the worker has been joined.
   const std::vector<PageId>& IssueLog() const { return issue_log_; }
 
-  uint64_t enqueued() const { return enqueued_; }
-  uint64_t demand_promotions() const { return demand_promotions_; }
-  uint64_t failed_fetches() const {
-    return failed_fetches_.load(std::memory_order_relaxed);
-  }
-
  private:
-  static constexpr size_t kRingCapacity = 256;
-
   void WorkerLoop();
 
   FilePageStore* store_;  ///< Borrowed.
   Options options_;
 
-  SpscRing<PageId, kRingCapacity> requests_;
-  SpscRing<AsyncFetchResult*, kRingCapacity> completions_;
+  std::mutex mu_;
+  std::condition_variable work_cv_;  ///< Queue non-empty or stop.
+  std::condition_variable done_cv_;  ///< Completion published.
+  std::deque<PageId> queue_;
+  PageId in_service_ = kInvalidPageId;
+  std::deque<AsyncFetchResult> completions_;
+  /// No worker runs, or it is to exit once the queue is empty.
+  bool stop_ = true;
+  std::vector<PageId> issue_log_;  ///< Appended under mu_ by the worker.
 
-  std::thread worker_;
-  std::atomic<bool> stop_{false};
-  bool running_ = false;
-
-  // Producer-side (executor thread) counters; plain because one thread
-  // reads and writes them.
-  uint64_t enqueued_ = 0;
-  uint64_t drained_ = 0;
-  uint64_t demand_promotions_ = 0;
-
-  /// Requests the worker has fully processed (fetched + completion
-  /// published). The release increment / acquire load pair also
-  /// publishes issue_log_ entries to the executor.
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> failed_fetches_{0};
-
-  std::vector<PageId> issue_log_;  ///< Worker-only appends; see IssueLog().
+  std::thread worker_;  ///< Last: it uses every member above.
 };
 
 }  // namespace scout

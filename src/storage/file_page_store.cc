@@ -171,14 +171,14 @@ Status FilePageStore::ReadPage(PageId page, Page* out) {
   // The emulated device latency is charged per attempt, success or not —
   // a failed transfer occupies the device exactly like a good one (the
   // same accounting the simulated DiskModel uses). Each thread is its
-  // own device channel, paced against an absolute deadline: sleep_for
-  // overshoots by a kernel-tick-sized, run-varying amount (~40% of a
-  // 300 us sleep on some hosts), so back-to-back reads instead extend a
-  // per-thread deadline by exactly one latency each and sleep_until it —
-  // the overshoot of one read is absorbed by the next, N queued reads
-  // take N * latency, and the wall-clock figures stop inheriting the
-  // scheduler's per-run jitter. Idle gaps reset the deadline (no credit
-  // for time the channel spent unused).
+  // own device channel: a read extends the thread's deadline by one
+  // latency and sleeps until it. The deadline restarts from `now`
+  // whenever it has already passed, and sleep_until wakes late by a
+  // scheduler-dependent amount, so after every late wake-up the next
+  // read restarts too. The overshoot is therefore never absorbed: N
+  // back-to-back reads take about N * (latency + overshoot), not
+  // N * latency (~390 us per read at 300 us on a 4-core Linux host).
+  // Idle gaps earn no credit either.
   if (options_.device_latency_us > 0) {
     thread_local const FilePageStore* channel_store = nullptr;
     thread_local std::chrono::steady_clock::time_point channel_next{};

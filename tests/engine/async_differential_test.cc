@@ -85,9 +85,9 @@ class AsyncDifferentialTest : public ::testing::Test {
 
   std::unique_ptr<RTreeIndex> index_;
   std::string path_;
-  /// Think gap used by FileConfig. 0 routes every async plan page
-  /// through the worker; > 0 engages the hybrid transport (leading
-  /// plan pages fetched inline on the executor).
+  /// Think gap used by FileConfig. > 0 lets the async executor read
+  /// queued plan pages itself while the gap lasts; 0 leaves the plan to
+  /// the worker, except for late hits the executor takes.
   int64_t think_us_ = 0;
   FilePageStoreOptions store_options_;
 };
@@ -153,7 +153,7 @@ TEST_F(AsyncDifferentialTest, AsyncIsBitIdenticalToSync) {
 
   // Superset-ordering contract: both modes issue the identical plan in
   // the identical order (the worker's issue log is a subsequence of it,
-  // asserted inside the engine), and demand reads promote in the same
+  // asserted inside the engine), and demand reads run in the same
   // order; fault-free, the global fetch multisets coincide exactly.
   EXPECT_EQ(async_stats.prefetch_order, sync_stats.prefetch_order);
   EXPECT_EQ(async_stats.demand_order, sync_stats.demand_order);
@@ -162,16 +162,16 @@ TEST_F(AsyncDifferentialTest, AsyncIsBitIdenticalToSync) {
 }
 
 TEST_F(AsyncDifferentialTest, HybridInlineTransportKeepsBitIdentity) {
-  // A non-zero think gap engages the hybrid transport: the async
-  // executor fetches leading plan pages inline and hands only the
-  // overflow to the worker. The inline/worker split point is
+  // A non-zero think gap makes the transport hybrid: the async
+  // executor reads the oldest queued plan pages while the gap lasts,
+  // beside the worker. Which thread reads which page is
   // timing-dependent run to run, but it must never be observable:
   // results, logical counters, plan order, and the global fetch
   // multiset all stay bit-identical to sync serving.
   think_us_ = 400;
-  // A real per-read latency makes the gap actually fill up, so the run
-  // exercises both halves of the hybrid (inline prefix AND worker
-  // overflow) instead of fetching everything inline instantly.
+  // A real per-read latency makes the gap actually fill up, so both
+  // the executor and the worker read plan pages instead of the
+  // executor reading everything inline instantly.
   store_options_.device_latency_us = 100;
   const auto queries = Sequence(10);
   std::unique_ptr<FilePageStore> sync_store;
@@ -194,6 +194,47 @@ TEST_F(AsyncDifferentialTest, HybridInlineTransportKeepsBitIdentity) {
     EXPECT_EQ(async_stats.queries[qi].result_objects,
               sync_stats.queries[qi].result_objects);
   }
+}
+
+TEST_F(AsyncDifferentialTest, LateHitsTakeQueuedPagesAndKeepBitIdentity) {
+  // No think gap and a slow device: the next query starts while most of
+  // the previous plan is still queued, so its late hits take pages out
+  // of the queue and read them on the executor. Taking must never be
+  // observable: every page is still read exactly once, and results,
+  // counters, plan and demand order and the fetch multiset stay
+  // bit-identical to sync serving.
+  think_us_ = 0;
+  store_options_.device_latency_us = 2000;
+  const auto queries = Sequence(14);  // The whole fiber: more late hits.
+  std::unique_ptr<FilePageStore> sync_store;
+  std::unique_ptr<FilePageStore> async_store;
+  const FileSequenceStats sync_stats =
+      Run(/*async=*/false, queries, FileRunOptions{}, &sync_store);
+  const FileSequenceStats async_stats =
+      Run(/*async=*/true, queries, FileRunOptions{}, &async_store);
+
+  size_t steals = 0;
+  for (const FileQueryStats& q : async_stats.queries) {
+    EXPECT_LE(q.late_hit_steals, q.late_hit_waits);
+    steals += q.late_hit_steals;
+  }
+  EXPECT_GT(steals, 0u) << "no late hit took a queued page";
+
+  EXPECT_EQ(async_stats.result_hash, sync_stats.result_hash);
+  ASSERT_EQ(async_stats.queries.size(), sync_stats.queries.size());
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const FileQueryStats& s = sync_stats.queries[qi];
+    const FileQueryStats& a = async_stats.queries[qi];
+    EXPECT_EQ(a.pages_total, s.pages_total) << "query " << qi;
+    EXPECT_EQ(a.pages_hit, s.pages_hit) << "query " << qi;
+    EXPECT_EQ(a.demand_reads, s.demand_reads) << "query " << qi;
+    EXPECT_EQ(a.prefetch_planned, s.prefetch_planned) << "query " << qi;
+    EXPECT_EQ(a.result_objects, s.result_objects) << "query " << qi;
+    EXPECT_EQ(a.outcome, StatusCode::kOk);
+  }
+  EXPECT_EQ(async_stats.prefetch_order, sync_stats.prefetch_order);
+  EXPECT_EQ(async_stats.demand_order, sync_stats.demand_order);
+  EXPECT_EQ(Sorted(async_store->FetchLog()), Sorted(sync_store->FetchLog()));
 }
 
 TEST_F(AsyncDifferentialTest, AsyncRerunsAreDeterministic) {

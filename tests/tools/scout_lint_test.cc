@@ -205,32 +205,6 @@ TEST(ScoutLintTest, FaultSeamWhitelistedTranslationUnitIsClean) {
   EXPECT_EQ(run.stdout_text, "");
 }
 
-TEST(ScoutLintTest, RingWriterFixtureFlagsEndpointCallsOutsideThePipeline) {
-  const LintRun run = LintFixture("src/prefetch/ring_writer_bad.cc");
-  EXPECT_EQ(run.exit_code, 1);
-  // TryPush/TryPop on ring-/requests-/pipe-named receivers; the
-  // receiver on line 15 matches no ring key, so it must NOT be flagged.
-  EXPECT_EQ(CountLines(run.stdout_text), 3) << run.stdout_text;
-  for (int line : {10, 11, 12}) {
-    EXPECT_NE(run.stdout_text.find("src/prefetch/ring_writer_bad.cc:" +
-                                   std::to_string(line) +
-                                   ": [ring-single-writer]"),
-              std::string::npos)
-        << run.stdout_text;
-  }
-  EXPECT_EQ(run.stdout_text.find(":15:"), std::string::npos)
-      << run.stdout_text;
-}
-
-TEST(ScoutLintTest, RingWriterWhitelistedTranslationUnitIsClean) {
-  // Same endpoint calls, but the fixture path matches the whitelisted
-  // pipeline TU src/prefetch/async_pipeline.cc — the one producer and
-  // consumer broker of the SPSC rings.
-  const LintRun run = LintFixture("src/prefetch/async_pipeline.cc");
-  EXPECT_EQ(run.exit_code, 0) << run.stdout_text;
-  EXPECT_EQ(run.stdout_text, "");
-}
-
 TEST(ScoutLintTest, RealIoFixtureFlagsRawIoOutsideTheBackendTu) {
   const LintRun run = LintFixture("src/engine/real_io_bad.cc");
   EXPECT_EQ(run.exit_code, 1);
@@ -306,10 +280,9 @@ TEST(ScoutLintTest, ListRulesPrintsTheWholeCatalogue) {
   for (const char* rule :
        {"det-rand", "det-random-device", "det-wall-clock",
         "det-unordered-container", "layer-dag", "cache-single-writer",
-        "disk-queue-single-writer", "ring-single-writer",
-        "fault-injection-seam", "real-io-isolation", "simd-isolation",
-        "hdr-pragma-once", "hdr-using-namespace", "no-float",
-        "lint-allow"}) {
+        "disk-queue-single-writer", "fault-injection-seam",
+        "real-io-isolation", "simd-isolation", "hdr-pragma-once",
+        "hdr-using-namespace", "no-float", "lint-allow"}) {
     EXPECT_NE(run.stdout_text.find(std::string(rule) + ":"),
               std::string::npos)
         << "missing rule " << rule;

@@ -88,12 +88,6 @@ const std::vector<RuleInfo> kRules = {
      "disk- or queue-named receiver) outside the whitelisted serving "
      "translation units",
      {"src/"}},
-    {"ring-single-writer",
-     "SPSC ring endpoint call (TryPush/TryPop on a ring/requests/"
-     "completions/pipe-named receiver) outside the whitelisted pipeline "
-     "translation units; a second producer or consumer voids the "
-     "lock-free single-producer/single-consumer contract",
-     {"src/"}},
     {"fault-injection-seam",
      "fault-schedule wiring (AttachFaults on a disk- or queue-named "
      "receiver) outside the storage TUs and the serial apply loop; "
@@ -158,15 +152,6 @@ const std::vector<const char*> kFaultSeamWhitelist = {
     "src/storage/shared_disk.cc",
     "src/engine/query_executor.cc",
     "src/engine/multi_client_engine.cc",
-};
-
-// Translation units allowed to call SPSC ring endpoints (TryPush /
-// TryPop on a ring-named receiver). The async prefetch pipeline is the
-// only producer AND the only consumer broker: it owns which thread
-// holds each end, which is the whole lock-free contract. A second call
-// site would silently turn SPSC into MPSC and corrupt the ring.
-const std::vector<const char*> kRingWriterWhitelist = {
-    "src/prefetch/async_pipeline.cc",
 };
 
 // The single translation unit in src/ allowed to perform real file/OS
@@ -584,10 +569,6 @@ class FileScanner {
                     "serving-layer");
     CheckWriterRule("fault-injection-seam", kFaultSeamWhitelist,
                     {"AttachFaults"}, {"disk", "queue"}, "fault-seam");
-    CheckWriterRule("ring-single-writer", kRingWriterWhitelist,
-                    {"TryPush", "TryPop"},
-                    {"ring", "requests", "completions", "pipe"},
-                    "ring-writer");
   }
 
   // Real file/OS I/O is confined to the one backend TU; the rest of
