@@ -5,6 +5,9 @@
 /// BENCH_baseline.json. Successive PRs diff their snapshots against the
 /// committed ones, so perf changes to the query/cache core are visible
 /// in review. `--tiny` shrinks every scenario to CI-smoke size (seconds).
+/// Multi-client rows always run under the engine's default QoS serving;
+/// the seed3 anchors recorded under the older serving models (`pre-qos`,
+/// `qos-cache-only`) are committed history the recorder does not redraw.
 
 #include <bit>
 #include <string>
@@ -12,7 +15,6 @@
 
 #include "bench/bench_util.h"
 #include "bench/testing_support.h"
-#include "bench/wallclock_support.h"
 #include "common/stopwatch.h"
 #include "graph/graph_builder.h"
 #include "index/box_rtree.h"
@@ -31,31 +33,7 @@ struct RecorderOptions {
   bool force = false;
   std::string label = "current";
   std::string out = "BENCH_baseline.json";
-  /// Multi-client serving semantics: "full" (cache QoS + shared disk,
-  /// the engine default), "cache-qos" (QoS cache, private disks), or
-  /// "legacy" (pre-QoS: global LRU, fixed capacity, private disks).
-  std::string serving = "full";
 };
-
-/// Maps a --serving mode name onto the engine's serving config.
-/// Unknown names return false (the recorder refuses to run: a silently
-/// defaulted mode would record the wrong semantics under the label).
-bool ServingConfigFor(const std::string& mode, SharedServingConfig* out) {
-  if (mode == "full") {
-    *out = SharedServingConfig{};
-    return true;
-  }
-  if (mode == "cache-qos") {
-    *out = SharedServingConfig{};
-    out->shared_disk = false;
-    return true;
-  }
-  if (mode == "legacy") {
-    *out = SharedServingConfig::Legacy();
-    return true;
-  }
-  return false;
-}
 
 /// Scenario sizes. Full mode targets a ~1-2 minute recording; tiny mode
 /// targets seconds (bench-smoke CI). Sizes are part of the recording
@@ -188,18 +166,17 @@ void RecordFigScenarios(Recorder* rec, NeuronStack& stack) {
 
 /// Multi-client shared-cache serving (fig_multiclient): N sessions, each
 /// running one guided sequence, interleaved over ONE shared PrefetchCache
-/// by the deterministic simulated-time scheduler, under the --serving
-/// semantics (legacy / cache-qos / full). The hit rate pools all
-/// sessions; successive PRs diff these rows to see how shared-cache
-/// serving scales with concurrent users. Appended after the single-client
-/// rows so their positions (and values) stay comparable across snapshots.
-void RecordMultiClientScenarios(Recorder* rec, NeuronStack& stack,
-                                const SharedServingConfig& serving) {
+/// by the deterministic simulated-time scheduler, under the engine's
+/// default QoS serving semantics (cache quotas, priced admission, shared
+/// disk). The hit rate pools all sessions; successive PRs diff these rows
+/// to see how shared-cache serving scales with concurrent users. Appended
+/// after the single-client rows so their positions (and values) stay
+/// comparable across snapshots.
+void RecordMultiClientScenarios(Recorder* rec, NeuronStack& stack) {
   const MicrobenchSpec& model_building = SpecOf("model-building");
   const QuerySequenceConfig qcfg = QueryConfigFor(model_building);
-  ExecutorConfig ecfg =
+  const ExecutorConfig ecfg =
       ExecutorConfigFor(model_building, stack.rtree->store());
-  ecfg.serving = serving;
   const PrefetcherFactory factory = [] {
     return std::make_unique<ScoutPrefetcher>(ScoutConfig{});
   };
@@ -236,19 +213,18 @@ void RecordMultiClientScenarios(Recorder* rec, NeuronStack& stack,
 }
 
 /// Degraded-mode serving under injected faults (fig_faults): the
-/// model-building workload at N = 8 over FULL serving semantics
-/// (regardless of --serving: outage faults need the shared disk), once
-/// fault-free and twice through a moderate fault storm — retry-only vs
-/// retry+shed. The fault-free row `...+f0` is the zero-fault anchor: its
-/// sim metrics must stay bit-identical to the fig_multiclient
-/// model-building@N8 row of the same snapshot (CI asserts this), proving
-/// the fault seams cost nothing when no schedule is attached.
+/// model-building workload at N = 8 over the default serving semantics
+/// (outage faults need the shared disk), once fault-free and twice
+/// through a moderate fault storm — retry-only vs retry+shed. The
+/// fault-free row `...+f0` is the zero-fault anchor: its sim metrics
+/// must stay bit-identical to the fig_multiclient model-building@N8 row
+/// of the same snapshot (CI asserts this), proving the fault seams cost
+/// nothing when no schedule is attached.
 void RecordFaultScenarios(Recorder* rec, NeuronStack& stack) {
   const MicrobenchSpec& model_building = SpecOf("model-building");
   const QuerySequenceConfig qcfg = QueryConfigFor(model_building);
-  ExecutorConfig ecfg =
+  const ExecutorConfig ecfg =
       ExecutorConfigFor(model_building, stack.rtree->store());
-  ecfg.serving = SharedServingConfig{};
   const PrefetcherFactory factory = [] {
     return std::make_unique<ScoutPrefetcher>(ScoutConfig{});
   };
@@ -310,67 +286,6 @@ void RecordFaultScenarios(Recorder* rec, NeuronStack& stack) {
         static_cast<unsigned long long>(row.faults_seen),
         static_cast<unsigned long long>(row.retries),
         static_cast<unsigned long long>(row.shed_prefetches));
-  }
-}
-
-/// Real-I/O wall-clock serving (fig_wallclock): the model-building
-/// sequence served from an on-disk page file, sync vs decoupled-async
-/// prefetch, cold and warm. These are the only rows whose primary
-/// metric is wall_ms (real elapsed time; the sim_* fields stay zero) —
-/// successive PRs diff the cold speedup to keep the async pipeline's
-/// win from regressing. The page file is generated next to the output
-/// in the build tree and never committed. Appended after the fault rows
-/// so all earlier row positions stay comparable across snapshots.
-void RecordWallclockScenarios(Recorder* rec) {
-  WallclockOptions opt;
-  opt.neuron_objects = rec->scale().neuron_objects;
-  WallclockResults results;
-  if (!RunWallclockScenarios(opt, &results)) {
-    std::fprintf(stderr, "baseline_recorder: wallclock scenarios failed\n");
-    std::exit(1);
-  }
-  if (!results.HashesAgree()) {
-    std::fprintf(stderr,
-                 "baseline_recorder: sync/async result hashes diverge — "
-                 "refusing to record a broken wallclock row\n");
-    std::exit(1);
-  }
-  struct ModeRow {
-    const char* scenario;
-    const char* prefetcher;
-    const WallclockModeResult* r;
-    double speedup;
-  };
-  const ModeRow rows[] = {
-      {"cold", "scout-sync", &results.sync_cold, 1.0},
-      {"cold", "scout-async", &results.async_cold, results.ColdSpeedup()},
-      {"warm", "scout-sync", &results.sync_warm, 1.0},
-      {"warm", "scout-async", &results.async_warm, results.WarmSpeedup()},
-  };
-  for (const ModeRow& m : rows) {
-    BaselineFigRow row;
-    row.bench = "fig_wallclock";
-    row.scenario = m.scenario;
-    row.prefetcher = m.prefetcher;
-    row.wall_ms = m.r->wall_ms;
-    row.hit_rate_pct = m.r->hit_rate_pct;
-    row.speedup = m.speedup;
-    row.wallclock = true;
-    row.device_latency_us = opt.device_latency_us;
-    row.think_time_us = opt.think_time_us;
-    row.demand_reads = m.r->demand_reads;
-    row.prefetch_reads = m.r->prefetch_reads;
-    row.late_hit_waits = m.r->late_hit_waits;
-    row.result_hash = m.r->result_hash;
-    rec->figs.push_back(row);
-    std::printf(
-        "%-24s %-18s %-10s %9.1f ms  hit %5.1f%%  speedup %.2f  "
-        "(demand %llu, prefetch %llu, latewait %llu)\n",
-        row.bench.c_str(), row.scenario.c_str(), row.prefetcher.c_str(),
-        row.wall_ms, row.hit_rate_pct, row.speedup,
-        static_cast<unsigned long long>(row.demand_reads),
-        static_cast<unsigned long long>(row.prefetch_reads),
-        static_cast<unsigned long long>(row.late_hit_waits));
   }
 }
 
@@ -533,8 +448,6 @@ void PrintUsage() {
       "  --append        append a snapshot instead of rewriting the file\n"
       "                  (refuses labels already present in the file)\n"
       "  --force         append even if the label is already present\n"
-      "  --serving MODE  multi-client serving semantics: full (default),\n"
-      "                  cache-qos, or legacy (pre-QoS)\n"
       "  --help          this message\n");
 }
 
@@ -554,8 +467,6 @@ int main(int argc, char** argv) {
       opt.label = argv[++i];
     } else if (arg == "--out" && i + 1 < argc) {
       opt.out = argv[++i];
-    } else if (arg == "--serving" && i + 1 < argc) {
-      opt.serving = argv[++i];
     } else if (arg == "--help") {
       PrintUsage();
       return 0;
@@ -564,13 +475,6 @@ int main(int argc, char** argv) {
       PrintUsage();
       return 2;
     }
-  }
-
-  SharedServingConfig serving;
-  if (!ServingConfigFor(opt.serving, &serving)) {
-    std::fprintf(stderr, "unknown --serving mode: %s\n", opt.serving.c_str());
-    PrintUsage();
-    return 2;
   }
 
   // Refuse a duplicate-label append up front, before burning minutes of
@@ -585,17 +489,15 @@ int main(int argc, char** argv) {
   }
 
   Recorder rec(opt.tiny ? kTinyScale : kFullScale, opt.tiny);
-  std::printf("== baseline_recorder (label=%s, %s scale, serving=%s) ==\n",
-              opt.label.c_str(), opt.tiny ? "tiny" : "full",
-              opt.serving.c_str());
+  std::printf("== baseline_recorder (label=%s, %s scale) ==\n",
+              opt.label.c_str(), opt.tiny ? "tiny" : "full");
   Stopwatch total;
   {
     NeuronStack stack(rec.scale().neuron_objects, /*seed=*/1);
     RecordFigScenarios(&rec, stack);
-    RecordMultiClientScenarios(&rec, stack, serving);
+    RecordMultiClientScenarios(&rec, stack);
     RecordFaultScenarios(&rec, stack);
   }
-  RecordWallclockScenarios(&rec);
   RecordMicroScenarios(&rec);
 
   const std::string snapshot =

@@ -148,19 +148,6 @@ struct BaselineFigRow {
   uint64_t retries = 0;
   uint64_t shed_prefetches = 0;
   int64_t p99_response_us = 0;
-  /// Real-I/O wall-clock extras (fig_wallclock rows). Serialized only
-  /// when `wallclock` is set, for the same byte-stability reason. These
-  /// rows measure REAL elapsed time over a FilePageStore, so wall_ms is
-  /// the primary metric and the sim_* fields stay zero; result_hash is
-  /// the cross-mode bit-identity fingerprint (sync and async rows of one
-  /// scenario must agree).
-  bool wallclock = false;
-  int64_t device_latency_us = 0;
-  int64_t think_time_us = 0;
-  uint64_t demand_reads = 0;
-  uint64_t prefetch_reads = 0;
-  uint64_t late_hit_waits = 0;
-  uint64_t result_hash = 0;
 };
 
 /// One hot-path micro measurement of a baseline snapshot.
@@ -241,19 +228,6 @@ inline std::string BaselineSnapshotJson(
                     static_cast<unsigned long long>(r.retries),
                     static_cast<unsigned long long>(r.shed_prefetches),
                     static_cast<long long>(r.p99_response_us));
-      os << buf;
-    }
-    if (r.wallclock) {
-      std::snprintf(buf, sizeof(buf),
-                    ", \"device_latency_us\": %lld, \"think_time_us\": %lld, "
-                    "\"demand_reads\": %llu, \"prefetch_reads\": %llu, "
-                    "\"late_hit_waits\": %llu, \"result_hash\": %llu",
-                    static_cast<long long>(r.device_latency_us),
-                    static_cast<long long>(r.think_time_us),
-                    static_cast<unsigned long long>(r.demand_reads),
-                    static_cast<unsigned long long>(r.prefetch_reads),
-                    static_cast<unsigned long long>(r.late_hit_waits),
-                    static_cast<unsigned long long>(r.result_hash));
       os << buf;
     }
     os << "}" << (i + 1 < figs.size() ? "," : "") << "\n";

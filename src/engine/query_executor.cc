@@ -102,9 +102,10 @@ class QueryExecutor::WindowIo : public PrefetchIo {
   bool FetchPage(PageId page) override {
     if (executor_->cache_->Contains(page)) return true;
     if (remaining_ <= 0) return false;
-    const bool faulty = executor_->FaultyServing();
     const SimMicros issue = window_start_ + (budget_ - remaining_);
-    if (faulty && executor_->config_.fault_policy.shed_prefetch_on_retry &&
+    // degraded_until_ moves only when a read fails, so fault-free
+    // serving never sheds.
+    if (executor_->config_.fault_policy.shed_prefetch_on_retry &&
         issue < executor_->degraded_until_) {
       // Degraded mode: prefetch I/O is shed first. Close the window —
       // the session serves on demand until the shedding window passes.
@@ -142,18 +143,14 @@ class QueryExecutor::WindowIo : public PrefetchIo {
       // to; queueing behind other sessions' reads consumes window budget
       // exactly like the read itself.
       const SharedDiskQueue::BatchResult served =
-          faulty ? executor_->disk_queue_->TryServeOne(
-                       executor_->session_id_, issue, page, &failed_read)
-                 : executor_->disk_queue_->ServeOne(executor_->session_id_,
-                                                    issue, page);
+          executor_->disk_queue_->TryServeOne(executor_->session_id_, issue,
+                                              page, &failed_read);
       cost = served.latency_us;
       wait_us_ += served.queue_wait_us;
-    } else if (faulty) {
+    } else {
       const DiskModel::ReadResult read = executor_->disk_.TryReadPage(page);
       cost = read.cost_us;
       failed_read = !read.status.ok();
-    } else {
-      cost = executor_->disk_.ReadPage(page);
     }
     if (failed_read) {
       // The transfer failed: the window time is spent but the page never
@@ -402,34 +399,15 @@ QueryRunStats QueryExecutor::ExecuteQuery(const Region& region,
       }
     }
     if (!miss_pages_.empty()) {
-      if (!FaultyServing()) {
-        const SharedDiskQueue::BatchResult served =
-            disk_queue_->ServeBatch(session_id_, sequence_now_, miss_pages_);
-        q.residual_io_us = served.latency_us;
-        q.disk_wait_us = served.queue_wait_us;
-        if (config_.cache_residual_reads) {
-          for (PageId page : miss_pages_) cache_->Insert(page);
-        }
-      } else {
-        q.residual_io_us = ServeMissBatchWithRetries(&q);
-        if (config_.cache_residual_reads) {
-          // Pages still failed after the retry budget never arrived.
-          for (PageId page : miss_pages_) {
-            if (std::find(retry_failed_.begin(), retry_failed_.end(), page) ==
-                retry_failed_.end()) {
-              cache_->Insert(page);
-            }
+      q.residual_io_us = ServeMissBatchWithRetries(&q);
+      if (config_.cache_residual_reads) {
+        // Pages still failed after the retry budget never arrived.
+        for (PageId page : miss_pages_) {
+          if (std::find(retry_failed_.begin(), retry_failed_.end(), page) ==
+              retry_failed_.end()) {
+            cache_->Insert(page);
           }
         }
-      }
-    }
-  } else if (!FaultyServing()) {
-    for (PageId page : prep.pages) {
-      if (cache_->TouchIfPresent(page)) {
-        ++q.pages_hit;
-      } else {
-        q.residual_io_us += disk_.ReadPage(page);
-        if (config_.cache_residual_reads) cache_->Insert(page);
       }
     }
   } else {
@@ -607,13 +585,6 @@ uint64_t QueryExecutor::HashPreparedObjects(
     h = HashResultObject(h, *g.object, g.page);
   }
   return h;
-}
-
-double FileSequenceStats::CacheHitRatePct() const {
-  const size_t total = TotalPagesTotal();
-  return total == 0 ? 0.0
-                    : 100.0 * static_cast<double>(TotalPagesHit()) /
-                          static_cast<double>(total);
 }
 
 size_t FileSequenceStats::TotalPagesTotal() const {
@@ -815,14 +786,12 @@ FileSequenceStats QueryExecutor::RunSequenceFile(
 
   std::unique_ptr<AsyncPrefetchPipeline> pipeline;
   if (config_.io.async_prefetch) {
-    AsyncPrefetchPipeline::Options popt;
-    popt.max_in_flight = config_.io.max_in_flight;
-    pipeline = std::make_unique<AsyncPrefetchPipeline>(store, popt);
+    pipeline = std::make_unique<AsyncPrefetchPipeline>(
+        store, AsyncPrefetchPipeline::Options{});
     pipeline->Start();
   }
 
   uint64_t hash = kResultHashSeed;
-  const Stopwatch total_sw;
   stats.queries.reserve(queries.size());
   std::vector<PageId> pages;
   for (const Region& region : queries) {
@@ -908,7 +877,6 @@ FileSequenceStats QueryExecutor::RunSequenceFile(
       std::this_thread::sleep_for(
           std::chrono::microseconds(config_.io.think_time_us - after_response));
     }
-    q.wall_total_us = q_sw.ElapsedMicros();
     stats.queries.push_back(q);
   }
 
@@ -927,7 +895,6 @@ FileSequenceStats QueryExecutor::RunSequenceFile(
   }
   if (!owns_cache()) cache_->SetActiveSession(PrefetchCache::kNoSession);
   stats.result_hash = hash;
-  stats.wall_total_us = total_sw.ElapsedMicros();
   return stats;
 }
 

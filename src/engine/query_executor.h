@@ -122,9 +122,6 @@ struct FileIoConfig {
   /// than simulated time — fixed at a budget so sync and async modes
   /// plan identical fetch sets (the differential contract).
   size_t prefetch_budget_pages = 16;
-  /// Async pipeline in-flight bound (pages accepted but not yet
-  /// drained); enqueueing backpressures beyond it.
-  size_t max_in_flight = 64;
   /// Emulated user think time between response delivery and the next
   /// query (wall microseconds). The sync path reads its whole plan
   /// inside this gap and overruns it when the plan is slow. The async
@@ -151,13 +148,11 @@ struct FileQueryStats {
   uint32_t retries = 0;
   StatusCode outcome = StatusCode::kOk;
   int64_t wall_response_us = 0;  ///< Demand I/O + decode + filter.
-  int64_t wall_total_us = 0;     ///< Response + prediction + fetch/think.
 };
 
 /// Whole-sequence measurements of a real-I/O run.
 struct FileSequenceStats {
   std::vector<FileQueryStats> queries;
-  int64_t wall_total_us = 0;
   /// FNV-1a over every query's decoded result objects, in order: the
   /// bit-identity fingerprint the differential tests compare across
   /// backends and modes.
@@ -171,7 +166,6 @@ struct FileSequenceStats {
   /// FileRunOptions::collect_results is set (tests).
   std::vector<std::vector<SpatialObject>> results;
 
-  double CacheHitRatePct() const;
   size_t TotalPagesTotal() const;
   size_t TotalPagesHit() const;
   size_t TotalDemandReads() const;
@@ -355,13 +349,6 @@ class QueryExecutor {
   /// admitted — only cross-session harm is priced.
   bool AdmitPrefetchInsert() const;
 
-  /// True when a fault schedule is attached and armed: the failure-aware
-  /// read paths and the degraded-mode policy are live.
-  bool FaultyServing() const {
-    return config_.fault_schedule != nullptr &&
-           config_.fault_schedule->Armed();
-  }
-
   /// Simulated backoff wait before retry round `attempt` (0-based):
   /// exponential in the round plus seeded uniform jitter.
   SimMicros RetryBackoffUs(uint32_t attempt);
@@ -373,7 +360,9 @@ class QueryExecutor {
   /// Serves the residual-miss batch in `miss_pages_` through the shared
   /// queue with retries, backoff, deadline accounting and shedding
   /// bookkeeping. Returns the total simulated serving time (attempts +
-  /// backoff waits); fault counters land in `q`.
+  /// backoff waits); fault counters land in `q`. With no armed fault
+  /// schedule no read fails, so this and ReadDemandPageWithRetries cost
+  /// exactly one plain read.
   SimMicros ServeMissBatchWithRetries(QueryRunStats* q);
 
   /// Same for the private-disk path: one page, demand-miss retry loop.

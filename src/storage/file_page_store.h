@@ -23,7 +23,7 @@ struct FilePageStoreOptions {
   /// — too fast for prefetch overlap to be measurable or for the
   /// wall-clock figures to be stable. This knob restores a realistic
   /// device service time (an enterprise SAS/low-end NVMe read is in the
-  /// 100–200 µs range), so fig_wallclock measures real thread overlap
+  /// 100–200 µs range), so scout_bench measures real thread overlap
   /// over an emulated device latency. 0 disables the emulation (tests).
   int64_t device_latency_us = 0;
 };

@@ -3,8 +3,9 @@
 // — same result hash, same logical-cache behaviour, same fetch plan in
 // the same order — and the synchronous file path must reproduce the
 // in-memory oracle exactly. Wall-clock is deliberately not asserted
-// here (bench/fig_wallclock measures it); these tests pin correctness.
+// here (scout_bench measures it); these tests pin correctness.
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -43,6 +44,8 @@ class AsyncDifferentialTest : public ::testing::Test {
     const Status st = FilePageStore::WriteFile(index_->store(), path_);
     ASSERT_TRUE(st.ok()) << st.message();
   }
+
+  void TearDown() override { std::remove(path_.c_str()); }
 
   std::vector<Region> Sequence(size_t n) const {
     std::vector<Region> queries;
@@ -258,20 +261,41 @@ TEST_F(AsyncDifferentialTest, AsyncRerunsAreDeterministic) {
 }
 
 TEST_F(AsyncDifferentialTest, WarmRerunHitsCacheAndKeepsResults) {
+  // A cold run, then a warm rerun on the same executor, in each mode.
+  // Warm serving starts from the cold run's cache and frames, and the
+  // two warm runs must still agree on every logical outcome.
   const auto queries = Sequence(8);
-  auto store = OpenStore();
-  ScoutPrefetcher prefetcher{ScoutConfig{}};
-  QueryExecutor executor(index_.get(), &prefetcher,
-                         FileConfig(store.get(), /*async=*/true));
-  const FileSequenceStats cold = executor.RunSequenceFile(queries);
   FileRunOptions warm_options;
   warm_options.warm_start = true;
-  const FileSequenceStats warm =
-      executor.RunSequenceFile(queries, warm_options);
+  FileSequenceStats warm_runs[2];
+  for (const bool async : {false, true}) {
+    auto store = OpenStore();
+    ScoutPrefetcher prefetcher{ScoutConfig{}};
+    QueryExecutor executor(index_.get(), &prefetcher,
+                           FileConfig(store.get(), async));
+    const FileSequenceStats cold = executor.RunSequenceFile(queries);
+    const FileSequenceStats warm =
+        executor.RunSequenceFile(queries, warm_options);
 
-  EXPECT_EQ(warm.result_hash, cold.result_hash);
-  EXPECT_GE(warm.TotalPagesHit(), cold.TotalPagesHit());
-  EXPECT_LE(warm.TotalDemandReads(), cold.TotalDemandReads());
+    EXPECT_EQ(warm.result_hash, cold.result_hash);
+    EXPECT_GE(warm.TotalPagesHit(), cold.TotalPagesHit());
+    EXPECT_LE(warm.TotalDemandReads(), cold.TotalDemandReads());
+    warm_runs[async] = warm;
+  }
+
+  const FileSequenceStats& sync_warm = warm_runs[0];
+  const FileSequenceStats& async_warm = warm_runs[1];
+  EXPECT_EQ(async_warm.result_hash, sync_warm.result_hash);
+  ASSERT_EQ(async_warm.queries.size(), sync_warm.queries.size());
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const FileQueryStats& s = sync_warm.queries[qi];
+    const FileQueryStats& a = async_warm.queries[qi];
+    EXPECT_EQ(a.pages_hit, s.pages_hit) << "query " << qi;
+    EXPECT_EQ(a.demand_reads, s.demand_reads) << "query " << qi;
+    EXPECT_EQ(a.prefetch_planned, s.prefetch_planned) << "query " << qi;
+  }
+  EXPECT_EQ(async_warm.prefetch_order, sync_warm.prefetch_order);
+  EXPECT_EQ(async_warm.demand_order, sync_warm.demand_order);
 }
 
 // Satellite regression: async completions must be applied serially on

@@ -1,6 +1,7 @@
 #include "storage/file_page_store.h"
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -57,6 +58,8 @@ class FilePageStoreTest : public ::testing::Test {
     const Status st = FilePageStore::WriteFile(index_->store(), path_);
     ASSERT_TRUE(st.ok()) << st.message();
   }
+
+  void TearDown() override { std::remove(path_.c_str()); }
 
   std::unique_ptr<FilePageStore> OpenOrDie() {
     auto opened = FilePageStore::Open(path_);

@@ -158,17 +158,18 @@ TEST(ScoutLintTest, SingleWriterWhitelistedTranslationUnitIsClean) {
 TEST(ScoutLintTest, DiskQueueWriterFixtureFlagsMutationsOutsideWhitelist) {
   const LintRun run = LintFixture("src/prefetch/disk_writer_bad.cc");
   EXPECT_EQ(run.exit_code, 1);
-  // ServeBatch/ServeOne/Reset on disk-/queue-named receivers; the
-  // receiver on line 15 is neither, so Reset there must NOT be flagged.
-  EXPECT_EQ(CountLines(run.stdout_text), 3) << run.stdout_text;
-  for (int line : {10, 11, 12}) {
+  // ServeBatch/ServeOne/TryServeBatch/TryServeOne/Reset on disk-/
+  // queue-named receivers; the receiver on line 20 is neither, so Reset
+  // there must NOT be flagged.
+  EXPECT_EQ(CountLines(run.stdout_text), 5) << run.stdout_text;
+  for (int line : {13, 14, 15, 16, 17}) {
     EXPECT_NE(run.stdout_text.find("src/prefetch/disk_writer_bad.cc:" +
                                    std::to_string(line) +
                                    ": [disk-queue-single-writer]"),
               std::string::npos)
         << run.stdout_text;
   }
-  EXPECT_EQ(run.stdout_text.find(":15:"), std::string::npos)
+  EXPECT_EQ(run.stdout_text.find(":20:"), std::string::npos)
       << run.stdout_text;
 }
 

@@ -84,9 +84,9 @@ const std::vector<RuleInfo> kRules = {
      "whitelisted serial-apply translation units",
      {"src/"}},
     {"disk-queue-single-writer",
-     "SharedDiskQueue mutating call (ServeBatch/ServeOne/Reset on a "
-     "disk- or queue-named receiver) outside the whitelisted serving "
-     "translation units",
+     "SharedDiskQueue mutating call (ServeBatch/ServeOne/TryServeBatch/"
+     "TryServeOne/Reset on a disk- or queue-named receiver) outside the "
+     "whitelisted serving translation units",
      {"src/"}},
     {"fault-injection-seam",
      "fault-schedule wiring (AttachFaults on a disk- or queue-named "
@@ -565,8 +565,9 @@ class FileScanner {
                      "ConfigureSharing"},
                     {"cache"}, "serial-apply");
     CheckWriterRule("disk-queue-single-writer", kDiskQueueWriterWhitelist,
-                    {"ServeBatch", "ServeOne", "Reset"}, {"disk", "queue"},
-                    "serving-layer");
+                    {"ServeBatch", "ServeOne", "TryServeBatch", "TryServeOne",
+                     "Reset"},
+                    {"disk", "queue"}, "serving-layer");
     CheckWriterRule("fault-injection-seam", kFaultSeamWhitelist,
                     {"AttachFaults"}, {"disk", "queue"}, "fault-seam");
   }
