@@ -674,29 +674,90 @@ class QueryExecutor::FilePlanIo : public PrefetchIo {
 };
 
 bool QueryExecutor::ApplyCompletion(AsyncFetchResult&& r, FileQueryStats* q) {
-  if (!r.status.ok()) {
+  BatchRead* b = r.urgent ? FindBatchRead(r.page) : nullptr;
+  if (b != nullptr && !b->late_hit && !b->done) {
+    // A demand attempt: DemandReadFilePage accounts its outcome.
+    b->done = true;
+    b->status = r.status;
+  } else if (!r.status.ok()) {
     // The transfer failed, so the page never arrived: withdraw its
     // logical cache entry (mirrors the sync path's erase-on-failure).
     cache_->Erase(r.page);
     if (q != nullptr) ++q->faults_seen;
-    return false;
   }
-  if (frames_[r.page] == nullptr) {
+  if (r.status.ok() && frames_[r.page] == nullptr) {
     frames_[r.page] = std::make_unique<Page>(std::move(r.data));
   }
-  return true;
+  return r.status.ok();
 }
 
-bool QueryExecutor::ReadPageInline(PageId page, FileQueryStats* q) {
+bool QueryExecutor::ReadPageInline(PageId page, bool urgent,
+                                   FileQueryStats* q) {
   AsyncFetchResult r;
   r.page = page;
+  r.urgent = urgent;
   r.status = config_.io.store->ReadPage(page, &r.data);
   return ApplyCompletion(std::move(r), q);
+}
+
+void QueryExecutor::ReadQueryBatch(std::span<const PageId> pages,
+                                   AsyncPrefetchPipeline* pipeline,
+                                   FileQueryStats* q) {
+  batch_.clear();
+  for (PageId page : pages) {
+    // Contains moves no LRU position, so the per-page loop's
+    // TouchIfPresent sees the cache exactly as sync serving does.
+    if (!cache_->Contains(page)) {
+      batch_.push_back({.page = page});  // A certain miss.
+      continue;
+    }
+    if (frames_[page] != nullptr) continue;
+    switch (pipeline->TakeQueued(page)) {
+      case AsyncPrefetchPipeline::Stage::kTaken:
+        ++q->late_hit_waits;
+        ++q->late_hit_steals;
+        batch_.push_back({.page = page, .late_hit = true});
+        break;
+      case AsyncPrefetchPipeline::Stage::kAbsent:
+        // A hit whose bytes are not coming: the loop demand-reads it.
+        batch_.push_back({.page = page});
+        break;
+      case AsyncPrefetchPipeline::Stage::kInFlight:
+        break;  // Waited for in AwaitFramePage.
+    }
+  }
+  if (batch_.empty()) return;
+  // The executor keeps the first page, so a one-page batch never waits
+  // on a hand-off, and reads urgent pages beside the worker until none
+  // is left.
+  const size_t worker_reads = pipeline->WorkerUrgentReads();
+  for (size_t i = 1; i < batch_.size(); ++i) {
+    pipeline->PushUrgent(batch_[i].page);
+  }
+  PageId page = batch_[0].page;
+  do {
+    ReadPageInline(page, /*urgent=*/true, q);
+  } while (pipeline->TakeUrgent(&page));
+  // The urgent lane is empty: the worker took the pages this thread did
+  // not.
+  q->batch_worker_reads = pipeline->WorkerUrgentReads() - worker_reads;
+}
+
+QueryExecutor::BatchRead* QueryExecutor::FindBatchRead(PageId page) {
+  for (BatchRead& b : batch_) {
+    if (b.page == page) return &b;
+  }
+  return nullptr;
 }
 
 const Page* QueryExecutor::AwaitFramePage(PageId page,
                                           AsyncPrefetchPipeline* pipeline,
                                           FileQueryStats* q) {
+  const BatchRead* batched =
+      pipeline != nullptr ? FindBatchRead(page) : nullptr;
+  // A hit whose bytes were not coming: the batch holds its demand read,
+  // which DemandReadFilePage accounts even though the bytes arrived.
+  if (batched != nullptr && !batched->late_hit) return nullptr;
   if (frames_[page] != nullptr) return frames_[page].get();
   if (pipeline == nullptr) return nullptr;
   // The page is logically cached but its bytes are not in frames_ yet.
@@ -707,43 +768,44 @@ const Page* QueryExecutor::AwaitFramePage(PageId page,
     if (!ApplyCompletion(std::move(r), q) && done == page) return nullptr;
   }
   if (frames_[page] != nullptr) return frames_[page].get();
-  // A late hit. A page the worker has not started is taken out of the
-  // queue and read here, on this thread's own device channel; only a
-  // page already in service is waited for.
-  switch (pipeline->TakeQueued(page)) {
-    case AsyncPrefetchPipeline::Stage::kAbsent:
-      return nullptr;  // Not in flight: never coming.
-    case AsyncPrefetchPipeline::Stage::kTaken:
-      ++q->late_hit_waits;
-      ++q->late_hit_steals;
-      ReadPageInline(page, q);
-      break;
-    case AsyncPrefetchPipeline::Stage::kInFlight:
-      ++q->late_hit_waits;
-      while (frames_[page] == nullptr && pipeline->WaitDrainOne(&r)) {
-        const PageId done = r.page;
-        if (!ApplyCompletion(std::move(r), q) && done == page) break;
-      }
-      break;
+  // A late hit the worker reads: one in service, or one taken into the
+  // batch (counted there) that the worker took from the urgent lane.
+  if (batched == nullptr) ++q->late_hit_waits;
+  while (frames_[page] == nullptr && pipeline->WaitDrainOne(&r)) {
+    const PageId done = r.page;
+    if (!ApplyCompletion(std::move(r), q) && done == page) break;
   }
   return frames_[page].get();
 }
 
-const Page* QueryExecutor::DemandReadFilePage(PageId page, FileQueryStats* q,
+const Page* QueryExecutor::DemandReadFilePage(PageId page,
+                                              AsyncPrefetchPipeline* pipeline,
+                                              FileQueryStats* q,
                                               FileSequenceStats* stats) {
   FilePageStore* store = config_.io.store;
   ++q->demand_reads;
   stats->demand_order.push_back(page);
+  BatchRead* batched = pipeline != nullptr ? FindBatchRead(page) : nullptr;
+  if (batched != nullptr && batched->late_hit) batched = nullptr;
   const uint32_t max_retries = config_.fault_policy.max_retries;
   for (uint32_t attempt = 0;; ++attempt) {
-    Page data;
-    const Status st = store->ReadPage(page, &data);
-    if (st.ok()) {
-      if (frames_[page] == nullptr) {
+    Status st;
+    if (attempt == 0 && batched != nullptr) {
+      // The batch read is attempt 0; its bytes, if any, are in frames_.
+      AsyncFetchResult r;
+      while (!batched->done && pipeline->WaitDrainOne(&r)) {
+        ApplyCompletion(std::move(r), q);
+      }
+      assert(batched->done && "a batch read is always in flight");
+      st = batched->status;
+    } else {
+      Page data;
+      st = store->ReadPage(page, &data);
+      if (st.ok() && frames_[page] == nullptr) {
         frames_[page] = std::make_unique<Page>(std::move(data));
       }
-      return frames_[page].get();
     }
+    if (st.ok()) return frames_[page].get();
     ++q->faults_seen;
     // Only transient (kUnavailable) failures are worth retrying; the
     // file backend has no simulated clock, so retries are immediate
@@ -802,7 +864,10 @@ FileSequenceStats QueryExecutor::RunSequenceFile(
     file_objects_.clear();
     if (options.collect_results) stats.results.emplace_back();
 
-    // --- Execute: serve result pages, decode, filter. ----------------
+    // --- Execute: read the query's blocking pages as one batch on both
+    // device channels (async), then serve result pages, decode, filter.
+    // Sync serving reads each miss inline, in the same order. ---------
+    if (pipeline != nullptr) ReadQueryBatch(pages, pipeline.get(), &q);
     for (PageId page : pages) {
       const Page* data = nullptr;
       if (cache_->TouchIfPresent(page)) {
@@ -810,7 +875,7 @@ FileSequenceStats QueryExecutor::RunSequenceFile(
         data = AwaitFramePage(page, pipeline.get(), &q);
       }
       if (data == nullptr) {
-        data = DemandReadFilePage(page, &q, &stats);
+        data = DemandReadFilePage(page, pipeline.get(), &q, &stats);
         if (data != nullptr && config_.cache_residual_reads) {
           cache_->Insert(page);
         }
@@ -849,7 +914,7 @@ FileSequenceStats QueryExecutor::RunSequenceFile(
       cache_->Insert(page);
       stats.prefetch_order.push_back(page);
       if (pipeline == nullptr) {
-        ReadPageInline(page, &q);
+        ReadPageInline(page, /*urgent=*/false, &q);
         continue;
       }
       while (!pipeline->TryEnqueue(page)) {
@@ -864,7 +929,7 @@ FileSequenceStats QueryExecutor::RunSequenceFile(
            q_sw.ElapsedMicros() - q.wall_response_us <
                config_.io.think_time_us &&
            pipeline->TakeOldest(&oldest)) {
-      ReadPageInline(oldest, &q);
+      ReadPageInline(oldest, /*urgent=*/false, &q);
     }
 
     // --- Think time: the user issues the next query think_time_us
@@ -888,8 +953,8 @@ FileSequenceStats QueryExecutor::RunSequenceFile(
         stats.queries.empty() ? nullptr : &stats.queries.back();
     AsyncFetchResult r;
     while (pipeline->TryDrainOne(&r)) ApplyCompletion(std::move(r), tail);
-    // Superset-ordering contract: the worker issued the plan pages the
-    // executor did not take, in plan order — its log must be a
+    // Superset-ordering contract: the worker issued the plan-lane pages
+    // the executor did not take, in plan order — its log must be a
     // subsequence of the plan.
     assert(IsSubsequence(pipeline->IssueLog(), stats.prefetch_order));
   }

@@ -114,8 +114,10 @@ struct FileIoConfig {
   /// Async prefetching: plan pages are queued for a dedicated fetch
   /// worker instead of being fetched inline, so fetch overlaps
   /// prediction, think time and the next query's execution. The
-  /// executor takes queued pages too: during the think gap, and on a
-  /// late hit the worker has not started.
+  /// executor takes queued plan pages too, during the think gap. Each
+  /// query first reads the pages it blocks on (its certain misses and
+  /// its late hits the worker has not started) as one batch, which the
+  /// executor and the worker read together before any plan page.
   bool async_prefetch = false;
   /// Prefetch budget per window, in pages. The file backend has no
   /// simulated clock, so the window is bounded by page count rather
@@ -141,9 +143,12 @@ struct FileQueryStats {
   size_t demand_reads = 0;    ///< Reads issued for logical misses.
   size_t prefetch_planned = 0;  ///< Plan pages fetched/enqueued.
   size_t late_hit_waits = 0;  ///< Hits whose bytes were still queued or
-                              ///< in flight.
-  size_t late_hit_steals = 0;  ///< Late hits the executor read itself
-                               ///< (also counted in late_hit_waits).
+                              ///< in flight, counted once each.
+  size_t late_hit_steals = 0;  ///< Late hits taken out of the plan lane
+                               ///< into the query's batch (also counted
+                               ///< in late_hit_waits).
+  size_t batch_worker_reads = 0;  ///< Batch pages the fetch worker read
+                                  ///< (async); the executor read the rest.
   uint64_t faults_seen = 0;
   uint32_t retries = 0;
   StatusCode outcome = StatusCode::kOk;
@@ -309,11 +314,12 @@ class QueryExecutor {
   /// page file, the prefetch cache tracks the same logical plan as the
   /// simulated path, and wall-clock serving time is measured. With
   /// io.async_prefetch the plan is queued for a fetch worker that the
-  /// executor helps drain (prefetch overlaps execution); without it,
-  /// fetches block the query loop. Both modes drive the prefetch cache
-  /// through an identical logical operation sequence, so hits, fetch
-  /// sets and decoded results are bit-identical between them
-  /// (fault-free; pinned by engine_async_differential_test).
+  /// executor helps drain (prefetch overlaps execution), and each
+  /// query's blocking pages are read as one batch on both threads;
+  /// without it, fetches block the query loop. Both modes drive the
+  /// prefetch cache through an identical logical operation sequence, so
+  /// hits, fetch sets and decoded results are bit-identical between
+  /// them (fault-free; pinned by engine_async_differential_test).
   /// Single-stream executors only (owned cache, private disk).
   FileSequenceStats RunSequenceFile(std::span<const Region> queries);
   FileSequenceStats RunSequenceFile(std::span<const Region> queries,
@@ -372,28 +378,52 @@ class QueryExecutor {
 
   // ---- Real-I/O (file backend) serving; see RunSequenceFile. --------
 
+  /// One page of the current query's batch (async serving).
+  struct BatchRead {
+    PageId page = kInvalidPageId;
+    /// A late hit taken out of the plan lane: its read is the
+    /// prefetch's, applied like any plan completion. Otherwise the
+    /// first attempt of the page's demand read.
+    bool late_hit = false;
+    bool done = false;  ///< The demand attempt finished, on either thread.
+    Status status = Status::OK();  ///< Its outcome, once done.
+  };
+
   /// Applies one fetch on the executor thread: decoded bytes land in
-  /// frames_; a failed fetch erases the page's logical cache entry (it
-  /// never arrived). Returns status.ok(). The worker never touches the
-  /// cache — this is the serial-apply seam.
+  /// frames_. A batch page's demand attempt records its outcome for
+  /// DemandReadFilePage; any other failed fetch erases the page's
+  /// logical cache entry (it never arrived). Returns status.ok(). The
+  /// worker never touches the cache — this is the serial-apply seam.
   bool ApplyCompletion(AsyncFetchResult&& r, FileQueryStats* q);
 
-  /// Reads one plan page on this thread and applies it.
-  bool ReadPageInline(PageId page, FileQueryStats* q);
+  /// Reads one page on this thread and applies it: a plan page, or
+  /// (`urgent`) a page of the query's batch.
+  bool ReadPageInline(PageId page, bool urgent, FileQueryStats* q);
+
+  /// Async: reads the pages of one query that block it (certain misses,
+  /// hits whose bytes are not coming, and late hits still on the plan
+  /// lane) as one batch before the per-page loop. The executor reads
+  /// the first page and hands the rest to the pipeline's urgent lane,
+  /// which it drains beside the worker. Moves no LRU position.
+  void ReadQueryBatch(std::span<const PageId> pages,
+                      AsyncPrefetchPipeline* pipeline, FileQueryStats* q);
+
+  /// The current query's batch entry for `page`, or null.
+  BatchRead* FindBatchRead(PageId page);
 
   /// Bytes of a logically-cached page: served from frames_, or (async)
-  /// from the pipeline. A late hit on a page still queued is taken out
-  /// of the queue and read here; one in service is waited for. Null
-  /// when the page's fetch failed or is not pending (caller
+  /// from the pipeline, waiting for a late hit that the worker reads.
+  /// Null when the page's fetch failed or is not pending (caller
   /// demand-reads).
   const Page* AwaitFramePage(PageId page, AsyncPrefetchPipeline* pipeline,
                              FileQueryStats* q);
 
-  /// Demand read on this thread, with retries
-  /// (fault_policy.max_retries). It never waits behind queued plan
-  /// pages. Null after retry exhaustion (outcome is set on `q`).
-  const Page* DemandReadFilePage(PageId page, FileQueryStats* q,
-                                 FileSequenceStats* stats);
+  /// Demand read, with retries (fault_policy.max_retries). A page in
+  /// the query's batch takes its batch read as attempt 0; the other
+  /// attempts, and every sync read, run on this thread. Null after
+  /// retry exhaustion (outcome is set on `q`).
+  const Page* DemandReadFilePage(PageId page, AsyncPrefetchPipeline* pipeline,
+                                 FileQueryStats* q, FileSequenceStats* stats);
 
   const SpatialIndex* index_;
   Prefetcher* prefetcher_;
@@ -426,6 +456,7 @@ class QueryExecutor {
   /// stay stable for the prefetcher's Observe.
   std::vector<std::unique_ptr<Page>> frames_;
   std::vector<PageId> file_plan_;     ///< Plan-capture scratch buffer.
+  std::vector<BatchRead> batch_;      ///< The current query's batch.
   std::vector<GraphInput> file_objects_;  ///< Result scratch buffer.
 };
 

@@ -34,13 +34,22 @@ void AsyncPrefetchPipeline::Stop() {
 bool AsyncPrefetchPipeline::TryEnqueue(PageId page) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    const size_t pending = queue_.size() + completions_.size() +
+    const size_t pending = plan_.size() + urgent_.size() +
+                           completions_.size() +
                            (in_service_ != kInvalidPageId ? 1 : 0);
     if (pending >= options_.max_in_flight) return false;
-    queue_.push_back(page);
+    plan_.push_back(page);
   }
   work_cv_.notify_one();
   return true;
+}
+
+void AsyncPrefetchPipeline::PushUrgent(PageId page) {
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    urgent_.push_back(page);
+  }
+  work_cv_.notify_one();
 }
 
 bool AsyncPrefetchPipeline::TryDrainOne(AsyncFetchResult* out) {
@@ -55,7 +64,8 @@ bool AsyncPrefetchPipeline::WaitDrainOne(AsyncFetchResult* out) {
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [this] {
     return !completions_.empty() || stop_ ||
-           (queue_.empty() && in_service_ == kInvalidPageId);
+           (plan_.empty() && urgent_.empty() &&
+            in_service_ == kInvalidPageId);
   });
   if (completions_.empty()) return false;
   *out = std::move(completions_.front());
@@ -65,12 +75,15 @@ bool AsyncPrefetchPipeline::WaitDrainOne(AsyncFetchResult* out) {
 
 AsyncPrefetchPipeline::Stage AsyncPrefetchPipeline::TakeQueued(PageId page) {
   const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = std::find(queue_.begin(), queue_.end(), page);
-  if (it != queue_.end()) {
-    queue_.erase(it);
+  const auto it = std::find(plan_.begin(), plan_.end(), page);
+  if (it != plan_.end()) {
+    plan_.erase(it);
     return Stage::kTaken;
   }
-  if (in_service_ == page) return Stage::kInFlight;
+  if (in_service_ == page ||
+      std::find(urgent_.begin(), urgent_.end(), page) != urgent_.end()) {
+    return Stage::kInFlight;
+  }
   for (const AsyncFetchResult& r : completions_) {
     if (r.page == page) return Stage::kInFlight;
   }
@@ -79,22 +92,45 @@ AsyncPrefetchPipeline::Stage AsyncPrefetchPipeline::TakeQueued(PageId page) {
 
 bool AsyncPrefetchPipeline::TakeOldest(PageId* page) {
   const std::lock_guard<std::mutex> lock(mu_);
-  if (queue_.empty()) return false;
-  *page = queue_.front();
-  queue_.pop_front();
+  if (plan_.empty()) return false;
+  *page = plan_.front();
+  plan_.pop_front();
   return true;
+}
+
+bool AsyncPrefetchPipeline::TakeUrgent(PageId* page) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (urgent_.empty()) return false;
+  *page = urgent_.front();
+  urgent_.pop_front();
+  return true;
+}
+
+size_t AsyncPrefetchPipeline::WorkerUrgentReads() {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return worker_urgent_reads_;
 }
 
 void AsyncPrefetchPipeline::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-    if (queue_.empty()) break;  // Stopped with the queue drained.
+    work_cv_.wait(lock, [this] {
+      return stop_ || !urgent_.empty() || !plan_.empty();
+    });
     AsyncFetchResult r;
-    r.page = queue_.front();
-    queue_.pop_front();
+    if (!urgent_.empty()) {
+      r.page = urgent_.front();
+      r.urgent = true;
+      urgent_.pop_front();
+      ++worker_urgent_reads_;
+    } else if (!plan_.empty()) {
+      r.page = plan_.front();
+      plan_.pop_front();
+      issue_log_.push_back(r.page);
+    } else {
+      break;  // Stopped with both lanes drained.
+    }
     in_service_ = r.page;
-    issue_log_.push_back(r.page);
     lock.unlock();
     r.status = store_->ReadPage(r.page, &r.data);
     lock.lock();

@@ -66,8 +66,9 @@ class AsyncDifferentialTest : public ::testing::Test {
     ExecutorConfig config;
     config.io.backend = IoBackend::kFile;
     config.io.store = store;
+    config.cache_bytes = cache_bytes_;
     config.io.async_prefetch = async;
-    config.io.prefetch_budget_pages = 8;
+    config.io.prefetch_budget_pages = budget_pages_;
     config.io.think_time_us = think_us_;
     return config;
   }
@@ -92,11 +93,21 @@ class AsyncDifferentialTest : public ::testing::Test {
   /// queued plan pages itself while the gap lasts; 0 leaves the plan to
   /// the worker, except for late hits the executor takes.
   int64_t think_us_ = 0;
+  size_t budget_pages_ = 8;  ///< Plan pages per query (FileConfig).
+  uint64_t cache_bytes_ = 64ull << 20;  ///< Cache capacity (FileConfig).
   FilePageStoreOptions store_options_;
 };
 
 std::vector<PageId> Sorted(std::vector<PageId> v) {
   std::sort(v.begin(), v.end());
+  return v;
+}
+
+/// Every page a run asked the device for: its plan pages, then its
+/// demand reads.
+std::vector<PageId> LogicalFetches(const FileSequenceStats& stats) {
+  std::vector<PageId> v = stats.prefetch_order;
+  v.insert(v.end(), stats.demand_order.begin(), stats.demand_order.end());
   return v;
 }
 
@@ -201,11 +212,12 @@ TEST_F(AsyncDifferentialTest, HybridInlineTransportKeepsBitIdentity) {
 
 TEST_F(AsyncDifferentialTest, LateHitsTakeQueuedPagesAndKeepBitIdentity) {
   // No think gap and a slow device: the next query starts while most of
-  // the previous plan is still queued, so its late hits take pages out
-  // of the queue and read them on the executor. Taking must never be
-  // observable: every page is still read exactly once, and results,
-  // counters, plan and demand order and the fetch multiset stay
-  // bit-identical to sync serving.
+  // the previous plan is still queued, so its late hits are taken out
+  // of the plan lane into the query's batch, which the executor and the
+  // worker read before any plan page. Taking must never be observable:
+  // every page is still read exactly once, and results, counters, plan
+  // and demand order and the fetch multiset stay bit-identical to sync
+  // serving.
   think_us_ = 0;
   store_options_.device_latency_us = 2000;
   const auto queries = Sequence(14);  // The whole fiber: more late hits.
@@ -235,6 +247,49 @@ TEST_F(AsyncDifferentialTest, LateHitsTakeQueuedPagesAndKeepBitIdentity) {
     EXPECT_EQ(a.result_objects, s.result_objects) << "query " << qi;
     EXPECT_EQ(a.outcome, StatusCode::kOk);
   }
+  EXPECT_EQ(async_stats.prefetch_order, sync_stats.prefetch_order);
+  EXPECT_EQ(async_stats.demand_order, sync_stats.demand_order);
+  EXPECT_EQ(Sorted(async_store->FetchLog()), Sorted(sync_store->FetchLog()));
+}
+
+TEST_F(AsyncDifferentialTest, DemandBatchIsHandedOffWithoutAPlan) {
+  // No plan, so the worker is otherwise idle and every page is a miss.
+  // Most of the fiber's queries have 3-4 result pages: the executor
+  // reads the first page of each batch and the worker reads beside it
+  // from the urgent lane. The hand-off must never be observable.
+  budget_pages_ = 0;
+  store_options_.device_latency_us = 2000;
+  const auto queries = Sequence(14);
+  std::unique_ptr<FilePageStore> sync_store;
+  std::unique_ptr<FilePageStore> async_store;
+  const FileSequenceStats sync_stats =
+      Run(/*async=*/false, queries, FileRunOptions{}, &sync_store);
+  const FileSequenceStats async_stats =
+      Run(/*async=*/true, queries, FileRunOptions{}, &async_store);
+
+  size_t worker_reads = 0;
+  for (const FileQueryStats& q : async_stats.queries) {
+    EXPECT_LE(q.batch_worker_reads, q.demand_reads);
+    worker_reads += q.batch_worker_reads;
+  }
+  EXPECT_GT(worker_reads, 0u) << "the worker read no batch page";
+  for (const FileQueryStats& q : sync_stats.queries) {
+    EXPECT_EQ(q.batch_worker_reads, 0u);
+  }
+
+  EXPECT_EQ(async_stats.result_hash, sync_stats.result_hash);
+  ASSERT_EQ(async_stats.queries.size(), sync_stats.queries.size());
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const FileQueryStats& s = sync_stats.queries[qi];
+    const FileQueryStats& a = async_stats.queries[qi];
+    EXPECT_EQ(a.pages_total, s.pages_total) << "query " << qi;
+    EXPECT_EQ(a.pages_hit, s.pages_hit) << "query " << qi;
+    EXPECT_EQ(a.demand_reads, s.demand_reads) << "query " << qi;
+    EXPECT_EQ(a.prefetch_planned, s.prefetch_planned) << "query " << qi;
+    EXPECT_EQ(a.result_objects, s.result_objects) << "query " << qi;
+    EXPECT_EQ(a.outcome, StatusCode::kOk);
+  }
+  EXPECT_TRUE(sync_stats.prefetch_order.empty());
   EXPECT_EQ(async_stats.prefetch_order, sync_stats.prefetch_order);
   EXPECT_EQ(async_stats.demand_order, sync_stats.demand_order);
   EXPECT_EQ(Sorted(async_store->FetchLog()), Sorted(sync_store->FetchLog()));
@@ -296,6 +351,88 @@ TEST_F(AsyncDifferentialTest, WarmRerunHitsCacheAndKeepsResults) {
   }
   EXPECT_EQ(async_warm.prefetch_order, sync_warm.prefetch_order);
   EXPECT_EQ(async_warm.demand_order, sync_warm.demand_order);
+}
+
+TEST_F(AsyncDifferentialTest, EveryLogicalFetchIsOneDeviceRead) {
+  // The device reads exactly the pages the logical plane fetches: every
+  // plan page and every demand read is one read, even when the page's
+  // bytes already sit in a frame from an earlier read. Sync vs async
+  // comparisons cannot catch a change that skips the same reads in both
+  // modes, so this pins each mode against its own logical fetches, cold
+  // then warm, with a cache that holds everything and one that evicts.
+  const auto queries = Sequence(8);
+  FileRunOptions warm_options;
+  warm_options.warm_start = true;
+  for (const int64_t latency_us : {int64_t{0}, int64_t{2000}}) {
+    for (const uint64_t cache_bytes :
+         {uint64_t{64} << 20, uint64_t{8 * kPageBytes}}) {
+      for (const bool async : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "latency " << latency_us << " us, cache "
+                     << cache_bytes << " B, async " << async);
+        store_options_.device_latency_us = latency_us;
+        cache_bytes_ = cache_bytes;
+        auto store = OpenStore();
+        store->EnableFetchLog();
+        ScoutPrefetcher prefetcher{ScoutConfig{}};
+        QueryExecutor executor(index_.get(), &prefetcher,
+                               FileConfig(store.get(), async));
+        const FileSequenceStats cold = executor.RunSequenceFile(queries);
+        const FileSequenceStats warm =
+            executor.RunSequenceFile(queries, warm_options);
+
+        std::vector<PageId> logical = LogicalFetches(cold);
+        const std::vector<PageId> warm_fetches = LogicalFetches(warm);
+        logical.insert(logical.end(), warm_fetches.begin(),
+                       warm_fetches.end());
+        EXPECT_EQ(Sorted(store->FetchLog()), Sorted(logical));
+        EXPECT_EQ(warm.result_hash, cold.result_hash);
+        if (cache_bytes == 8 * kPageBytes) {
+          EXPECT_GT(executor.cache().evictions(), 0u);
+          EXPECT_GT(warm.TotalPrefetchPlanned(), 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST_F(AsyncDifferentialTest, StaleSharedEntriesDegradeIntoDemandReads) {
+  // A borrowed cache keeps the entries another executor inserted, but a
+  // fresh executor holds none of their bytes: those hits are not coming
+  // from any pipeline, so they are demand-read (in the query's batch
+  // when async). Both modes must still serve the oracle's results and
+  // agree on every counter.
+  const auto queries = Sequence(8);
+  FileSequenceStats second_runs[2];
+  for (const bool async : {false, true}) {
+    auto store = OpenStore();
+    PrefetchCache shared(64ull << 20);
+    shared.ConfigureSharing(1);
+    ScoutPrefetcher first_prefetcher{ScoutConfig{}};
+    QueryExecutor first(index_.get(), &first_prefetcher,
+                        FileConfig(store.get(), async), &shared);
+    const FileSequenceStats cold = first.RunSequenceFile(queries);
+    ScoutPrefetcher prefetcher{ScoutConfig{}};
+    QueryExecutor second(index_.get(), &prefetcher,
+                         FileConfig(store.get(), async), &shared);
+    const FileSequenceStats stale = second.RunSequenceFile(queries);
+    EXPECT_EQ(stale.result_hash, cold.result_hash);
+    EXPECT_EQ(stale.UnavailableQueries(), 0u);
+    // Some hits had no bytes, so demand reads exceed the misses.
+    EXPECT_GT(stale.TotalDemandReads(),
+              stale.TotalPagesTotal() - stale.TotalPagesHit());
+    second_runs[async] = stale;
+  }
+
+  const FileSequenceStats& s = second_runs[0];
+  const FileSequenceStats& a = second_runs[1];
+  ASSERT_EQ(a.queries.size(), s.queries.size());
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    EXPECT_EQ(a.queries[qi].pages_hit, s.queries[qi].pages_hit);
+    EXPECT_EQ(a.queries[qi].demand_reads, s.queries[qi].demand_reads);
+  }
+  EXPECT_EQ(a.prefetch_order, s.prefetch_order);
+  EXPECT_EQ(a.demand_order, s.demand_order);
 }
 
 // Satellite regression: async completions must be applied serially on

@@ -124,7 +124,9 @@ TEST(FaultScheduleTest, OutageIsAContiguousWindowWithinItsPeriod) {
         }
         // Exactly at the end the channel serves again (unless the end
         // coincides with the next window, which draws independently).
-        if (e < base + period) ASSERT_EQ(s.ChannelOutageEndUs(0, e), 0);
+        if (e < base + period) {
+          ASSERT_EQ(s.ChannelOutageEndUs(0, e), 0);
+        }
       }
     }
     if (first_covered >= 0) {
